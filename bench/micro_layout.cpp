@@ -1,14 +1,12 @@
-// Compiled-layout benchmark: what did the CSR/flat-W CompiledProblem and the
-// scratch-arena port buy over the legacy TaskGraph/CostTable reads? Every
-// ported scheduler runs the same problem twice — compiled path (default) and
-// legacy path (set_use_compiled(false)) — in the steady-state regime (two
-// warm-up schedule_into() calls, recycled Schedule, best-of-n), and the
-// operator-new interposer (tests/support/alloc_hook.cpp, linked into this
-// binary only) counts the heap allocations of one steady-state call on each
-// path. The compiled path must report ZERO. Also measures the telemetry
-// overhead of hdlts: the null-sink (default, compile-time-erased) path vs a
-// full RecordingTrace decision stream. Writes BENCH_layout.json so
-// scripts/bench.sh has a layout trajectory to diff against and can gate the
+// Compiled-layout benchmark: steady-state cost of every scheduler that runs
+// on the flat CSR/W sim::CompiledProblem with a scratch arena — two warm-up
+// schedule_into() calls, a recycled Schedule, best-of-n — and the heap
+// allocations of one steady-state call, counted by the operator-new
+// interposer (tests/support/alloc_hook.cpp, linked into this binary only).
+// Every scheduler must report ZERO. Also measures the telemetry overhead of
+// hdlts: the null-sink (default, compile-time-erased) path vs a full
+// RecordingTrace decision stream. Writes BENCH_layout.json so
+// scripts/bench.sh has a trajectory to diff against and can gate the
 // null-sink cost (HDLTS_NULL_SINK_FACTOR).
 //
 // Environment knobs:
@@ -38,22 +36,21 @@ namespace {
 
 using namespace hdlts;
 
-/// Everything ported to the template-over-view dual path.
+/// Every scheduler that runs on the compiled view with a scratch arena.
 std::vector<std::string> ported_schedulers() {
   return {"hdlts", "hdlts-static", "hdlts-insertion", "heft", "cpop",
           "peft",  "pets",         "sdbats",          "dls",  "lookahead"};
 }
 
-struct PathResult {
+struct Measurement {
   double ms = 0.0;
-  double makespan = 0.0;
   std::uint64_t steady_allocs = 0;
 };
 
 /// Steady-state timing + heap traffic of one schedule_into() call.
-PathResult measure(const sched::Scheduler& scheduler,
-                   const sim::Problem& problem, std::size_t reps) {
-  PathResult r;
+Measurement measure(const sched::Scheduler& scheduler,
+                    const sim::Problem& problem, std::size_t reps) {
+  Measurement r;
   sim::Schedule out(problem.num_tasks(), problem.num_procs());
   scheduler.schedule_into(problem, out);
   scheduler.schedule_into(problem, out);
@@ -68,7 +65,6 @@ PathResult measure(const sched::Scheduler& scheduler,
   scheduler.schedule_into(problem, out);
   const auto after = tests::alloc_counters();
   r.steady_allocs = after.allocations - before.allocations;
-  r.makespan = out.makespan();
   return r;
 }
 
@@ -117,66 +113,43 @@ int main() {
   const sim::Problem problem(workload);
 
   const sched::Registry registry = core::default_registry();
-  util::Table table({"scheduler", "compiled ms", "legacy ms", "speedup",
-                     "allocs/call compiled", "allocs/call legacy"});
+  util::Table table({"scheduler", "ms", "allocs/call"});
   std::ostringstream rows_json;
   const auto names = ported_schedulers();
-  double hdlts_speedup = 0.0;
   double hdlts_null_sink_ms = 0.0;
   bool failed = false;
 
   for (std::size_t i = 0; i < names.size(); ++i) {
     const std::string& name = names[i];
-    const auto compiled_sched = registry.make(name);
-    const auto legacy_sched = registry.make(name);
-    legacy_sched->set_use_compiled(false);
-    const PathResult compiled = measure(*compiled_sched, problem, reps);
-    const PathResult legacy = measure(*legacy_sched, problem, reps);
+    const auto scheduler = registry.make(name);
+    const Measurement m = measure(*scheduler, problem, reps);
 
-    if (compiled.makespan != legacy.makespan) {
-      std::cerr << "FATAL: " << name << " compiled (" << compiled.makespan
-                << ") and legacy (" << legacy.makespan << ") disagree\n";
-      failed = true;
-    }
-    if (compiled.steady_allocs != 0) {
-      std::cerr << "FATAL: " << name << " compiled path made "
-                << compiled.steady_allocs
+    if (m.steady_allocs != 0) {
+      std::cerr << "FATAL: " << name << " made " << m.steady_allocs
                 << " heap allocations in steady state (contract: 0)\n";
       failed = true;
     }
 
-    const double speedup = legacy.ms / compiled.ms;
-    if (name == "hdlts") {
-      hdlts_speedup = speedup;
-      hdlts_null_sink_ms = compiled.ms;
-    }
-    table.add_row({name, util::fmt(compiled.ms, 3), util::fmt(legacy.ms, 3),
-                   util::fmt(speedup, 2),
-                   std::to_string(compiled.steady_allocs),
-                   std::to_string(legacy.steady_allocs)});
+    if (name == "hdlts") hdlts_null_sink_ms = m.ms;
+    table.add_row({name, util::fmt(m.ms, 3), std::to_string(m.steady_allocs)});
     rows_json << "    {\"scheduler\": \"" << name << "\", \"tasks\": " << tasks
               << ", \"procs\": " << procs
-              << ", \"compiled_ms\": " << compiled.ms
-              << ", \"legacy_ms\": " << legacy.ms
-              << ", \"layout_speedup\": " << speedup
-              << ", \"compiled_steady_allocs\": " << compiled.steady_allocs
-              << ", \"legacy_steady_allocs\": " << legacy.steady_allocs << "}"
-              << (i + 1 < names.size() ? ",\n" : "\n");
+              << ", \"compiled_ms\": " << m.ms
+              << ", \"compiled_steady_allocs\": " << m.steady_allocs
+              << "}" << (i + 1 < names.size() ? ",\n" : "\n");
   }
 
   // Telemetry overhead: the default path IS the null-sink path (the sink
-  // policy is erased at compile time), so its cost is the hdlts compiled
-  // cell above; the recording sink is the full-fidelity decision trace.
+  // policy is erased at compile time), so its cost is the hdlts cell
+  // above; the recording sink is the full-fidelity decision trace.
   const double hdlts_recording_ms = measure_recording(problem, reps);
   const double hdlts_recording_overhead =
       hdlts_null_sink_ms > 0.0 ? hdlts_recording_ms / hdlts_null_sink_ms : 0.0;
 
-  std::cout << "# micro_layout — compiled CSR view vs legacy reads ("
+  std::cout << "# micro_layout — schedulers on the compiled CSR view ("
             << tasks << " tasks, " << procs << " procs, steady state)\n";
   table.write_markdown(std::cout);
-  std::cout << "\nhdlts layout speedup: " << util::fmt(hdlts_speedup, 2)
-            << "x\n"
-            << "hdlts telemetry: null sink "
+  std::cout << "\nhdlts telemetry: null sink "
             << util::fmt(hdlts_null_sink_ms, 3) << " ms, recording sink "
             << util::fmt(hdlts_recording_ms, 3) << " ms ("
             << util::fmt(hdlts_recording_overhead, 2) << "x)\n";
@@ -189,9 +162,8 @@ int main() {
   json << "{\n  \"bench\": \"micro_layout\",\n  \"seed\": " << seed
        << ",\n  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n  \"rows\": [\n"
-       << rows_json.str() << "  ],\n  \"hdlts_layout_speedup\": "
-       << hdlts_speedup
-       << ",\n  \"hdlts_null_sink_ms\": " << hdlts_null_sink_ms
+       << rows_json.str() << "  ],\n  \"hdlts_null_sink_ms\": "
+       << hdlts_null_sink_ms
        << ",\n  \"hdlts_recording_ms\": " << hdlts_recording_ms
        << ",\n  \"hdlts_recording_overhead\": " << hdlts_recording_overhead
        << "\n}\n";

@@ -1,10 +1,9 @@
 // Wall-clock scaling benchmark for the scheduler hot loops: layered random
 // DAGs of 1k/5k/10k tasks on 8/32 processors, every list scheduler that is
-// expected to scale, the legacy (pointer-chasing) HDLTS path, HDLTS with a
-// recording decision-trace sink (telemetry overhead), plus the brute-force
-// reference HDLTS (the pre-incremental implementation) so the
-// incremental-state speedup, the compiled-layout speedup, and the tracing
-// overhead are all measured in the same binary. Prints an aligned table and writes
+// expected to scale, HDLTS with a recording decision-trace sink (telemetry
+// overhead), plus the brute-force reference HDLTS (the pre-incremental
+// implementation) so the incremental-state speedup and the tracing overhead
+// are both measured in the same binary. Prints an aligned table and writes
 // BENCH_sched_scale.json (ms, tasks/sec, ns/decision per cell and the
 // headline hdlts speedup on the 5k/32 cell) so future PRs have a perf
 // trajectory to diff against (scripts/bench.sh).
@@ -193,23 +192,6 @@ int main() {
         if (recording_makespan != opt_makespan) {
           std::cerr << "FATAL: hdlts with a recording sink (" << recording_makespan
                     << ") and the null-sink path (" << opt_makespan
-                    << ") disagree on " << nt << " tasks / " << np
-                    << " procs\n";
-          return 1;
-        }
-      }
-      {
-        // Same incremental algorithm on the legacy TaskGraph/CostTable reads:
-        // the gap to the "hdlts" row is what the compiled CSR layout buys.
-        core::Hdlts legacy;
-        legacy.set_use_compiled(false);
-        double legacy_makespan = 0.0;
-        const double ms =
-            time_scheduler(legacy, problem, nt, &legacy_makespan);
-        record("hdlts-legacy", ms, legacy_makespan);
-        if (legacy_makespan != opt_makespan) {
-          std::cerr << "FATAL: compiled hdlts (" << opt_makespan
-                    << ") and legacy path (" << legacy_makespan
                     << ") disagree on " << nt << " tasks / " << np
                     << " procs\n";
           return 1;

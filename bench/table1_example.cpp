@@ -5,6 +5,7 @@
 
 #include "hdlts/core/hdlts.hpp"
 #include "hdlts/metrics/metrics.hpp"
+#include "hdlts/obs/trace.hpp"
 #include "hdlts/sim/gantt.hpp"
 #include "hdlts/util/table.hpp"
 #include "hdlts/workload/classic.hpp"
@@ -14,30 +15,32 @@ int main() {
   const sim::Workload w = workload::classic_workload();
   const sim::Problem problem(w);
 
-  core::HdltsTrace trace;
-  const sim::Schedule schedule =
-      core::Hdlts().schedule_traced(problem, &trace);
+  obs::RecordingTrace trace;
+  core::Hdlts hdlts;
+  hdlts.set_trace_sink(&trace);
+  const sim::Schedule schedule = hdlts.schedule(problem);
 
   std::cout << "== table1_example: HDLTS schedule produced at each step ==\n";
   std::cout << "entry task duplicated on:";
-  for (const auto p : trace.duplicated_on) {
-    std::cout << " " << w.platform.proc_name(p);
+  for (const obs::DuplicationEvent& d : trace.duplications()) {
+    if (d.accepted) std::cout << " " << w.platform.proc_name(d.candidate_proc);
   }
   std::cout << "\n\n";
 
   util::Table steps({"Step", "Ready Task", "Penalty Values", "Selected",
                      "EFT P1", "EFT P2", "EFT P3", "CPU"});
-  for (std::size_t i = 0; i < trace.steps.size(); ++i) {
-    const core::HdltsStep& s = trace.steps[i];
+  for (std::size_t i = 0; i < trace.steps().size(); ++i) {
+    const obs::RecordingTrace::StepRecord s =
+        obs::itq_in_task_order(trace.steps()[i]);
     std::string ready;
     std::string pv;
-    for (std::size_t j = 0; j < s.ready.size(); ++j) {
+    for (std::size_t j = 0; j < s.itq_tasks.size(); ++j) {
       if (j > 0) {
         ready += ", ";
         pv += ", ";
       }
-      ready += "T" + std::to_string(s.ready[j] + 1);
-      pv += util::fmt(s.pv[j], 1);
+      ready += "T" + std::to_string(s.itq_tasks[j] + 1);
+      pv += util::fmt(s.itq_pv[j], 1);
     }
     steps.add_row({std::to_string(i + 1), ready, pv,
                    "T" + std::to_string(s.selected + 1), util::fmt(s.eft[0], 0),

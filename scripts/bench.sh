@@ -5,14 +5,13 @@
 # BENCH_layout.json against the committed baselines in bench/. Exits
 # non-zero when the schedule of measured cells changed shape, when the
 # headline hdlts incremental speedup fell below the 5x acceptance bar, when
-# the compiled path made any steady-state heap allocation or lost its edge
-# over the legacy layout, or when any scheduler cell regressed by more than
-# the allowed factor (wall-clock comparisons across machines are noisy, so
-# the factor is deliberately loose; override with
-# HDLTS_BENCH_REGRESSION_FACTOR). Additionally gates the telemetry contract:
-# the hdlts null-sink path (telemetry compiled in, no sink attached) must
-# stay within HDLTS_NULL_SINK_FACTOR (default 1.02) of the committed
-# baseline, and the recording-sink overhead is reported alongside.
+# any scheduler made a steady-state heap allocation, or when any scheduler
+# cell regressed by more than the allowed factor (wall-clock comparisons
+# across machines are noisy, so the factor is deliberately loose; override
+# with HDLTS_BENCH_REGRESSION_FACTOR). Additionally gates the telemetry
+# contract: the hdlts null-sink path (telemetry compiled in, no sink
+# attached) must stay within HDLTS_NULL_SINK_FACTOR (default 1.02) of the
+# committed baseline, and the recording-sink overhead is reported alongside.
 #
 # bench/micro_dynamic (compiled vs legacy online/stream rescheduling) writes
 # BENCH_dynamic.json: the compiled dynamic paths must stay allocation-free in
@@ -35,14 +34,13 @@
 #             but fewer repetitions and loose wall-clock gates — shared
 #             runners are slow and noisy, so smoke proves the benches run and
 #             the structural contracts hold (zero allocs, determinism, cells
-#             present), not the exact numbers. Ratio-based gates (incremental
-#             and layout speedups) are loosened, not dropped.
+#             present), not the exact numbers. The ratio-based incremental
+#             speedup gate is loosened, not dropped.
 #
 # Gate overrides (env):
 #   HDLTS_BENCH_REGRESSION_FACTOR   per-cell wall-clock slack   (default 3.0)
 #   HDLTS_NULL_SINK_FACTOR          null-sink telemetry slack   (default 1.02)
 #   HDLTS_MIN_INCREMENTAL_SPEEDUP   hdlts-vs-reference bar      (default 5.0)
-#   HDLTS_MIN_LAYOUT_SPEEDUP        compiled-vs-legacy bar      (default 1.05)
 #   HDLTS_BATCH_SPEEDUP_MIN         batch hi-vs-1-thread bar    (default 3.0)
 #   HDLTS_MIN_DYNAMIC_SPEEDUP       online compiled-vs-legacy
 #                                   ns/decision bar             (default 3.0)
@@ -89,7 +87,6 @@ else
   NULL_SINK_FACTOR="${HDLTS_NULL_SINK_FACTOR:-1.02}"
   MIN_INCREMENTAL="${HDLTS_MIN_INCREMENTAL_SPEEDUP:-5.0}"
 fi
-MIN_LAYOUT="${HDLTS_MIN_LAYOUT_SPEEDUP:-1.05}"
 BATCH_SPEEDUP_MIN="${HDLTS_BATCH_SPEEDUP_MIN:-3.0}"
 MIN_DYNAMIC="${HDLTS_MIN_DYNAMIC_SPEEDUP:-3.0}"
 
@@ -105,7 +102,7 @@ echo "== running bench/micro_scale (this builds the perf trajectory) =="
   ./bench/micro_scale)
 
 echo
-echo "== running bench/micro_layout (compiled vs legacy + allocation counts) =="
+echo "== running bench/micro_layout (steady-state ms + allocation counts) =="
 # Wall-clock noise on shared machines easily exceeds the 2% telemetry bound,
 # so the telemetry cells take the best (min) over three runs with a deep
 # best-of per run; the scheduler cell diff uses the first run as before.
@@ -241,13 +238,11 @@ sys.exit(1 if failed else 0)
 EOF
 
 python3 - "$LAYOUT_BASELINE" "$LAYOUT_FRESH" "$FACTOR" "$NULL_SINK_FACTOR" \
-  "$MIN_LAYOUT" <<'EOF' \
-  || GATE_FAILURES=$((GATE_FAILURES + 1))
+  <<'EOF' || GATE_FAILURES=$((GATE_FAILURES + 1))
 import json, sys
 
 baseline_path, fresh_path, factor = sys.argv[1], sys.argv[2], float(sys.argv[3])
 null_sink_factor = float(sys.argv[4])
-min_layout = float(sys.argv[5])
 baseline = json.load(open(baseline_path))
 fresh = json.load(open(fresh_path))
 
@@ -264,7 +259,7 @@ if missing:
 
 for name, row in sorted(fresh_cells.items()):
     if row["compiled_steady_allocs"] != 0:
-        print(f"FAIL: {name} compiled path allocates in steady state "
+        print(f"FAIL: {name} allocates in steady state "
               f"({row['compiled_steady_allocs']} allocs/call; contract is 0)")
         failed = True
     if name in base_cells:
@@ -275,15 +270,8 @@ for name, row in sorted(fresh_cells.items()):
                   f"{row['compiled_ms']:.2f} ms)")
             failed = True
 
-speedup = fresh.get("hdlts_layout_speedup", 0.0)
-if speedup < min_layout:
-    print(f"FAIL: hdlts layout speedup {speedup:.2f}x — compiled path no "
-          f"longer beats the legacy layout")
-    failed = True
-else:
-    print(f"ok: hdlts layout speedup {speedup:.2f}x (baseline "
-          f"{baseline.get('hdlts_layout_speedup', float('nan')):.2f}x), "
-          f"compiled steady-state allocs all 0")
+if not failed:
+    print("ok: layout cells present, compiled steady-state allocs all 0")
 
 # Telemetry rows: null-sink (telemetry compiled in, no sink attached) vs a
 # full RecordingTrace decision stream.

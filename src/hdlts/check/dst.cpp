@@ -174,12 +174,10 @@ void diff_stream(const core::StreamResult& compiled,
 }
 
 /// Runs one online scenario and returns every complaint, including the
-/// plan's forced-outcome check and (optionally) the compiled-vs-legacy
-/// differential.
+/// plan's forced-outcome check and the compiled-vs-legacy differential.
 std::vector<std::string> run_and_validate(
     const sim::Workload& workload, const std::vector<core::ProcFailure>& plan,
-    PlanExpectation expect, const core::HdltsOptions& options,
-    bool compare_legacy) {
+    PlanExpectation expect, const core::HdltsOptions& options) {
   const core::OnlineResult result = core::run_online(workload, plan, options);
   const OnlineValidator validator(options);
   std::vector<std::string> violations =
@@ -192,11 +190,9 @@ std::vector<std::string> run_and_validate(
     violations.push_back(
         "every processor fails at t = 0 but the run completed");
   }
-  if (compare_legacy) {
-    const core::OnlineResult reference =
-        core::run_online_legacy(workload, plan, options);
-    diff_online(result, reference, &violations);
-  }
+  const core::OnlineResult reference =
+      core::run_online_legacy(workload, plan, options);
+  diff_online(result, reference, &violations);
   return violations;
 }
 
@@ -217,7 +213,7 @@ std::string minimize(const sim::Workload& workload,
                      std::vector<core::ProcFailure> plan,
                      PlanExpectation expect,
                      const core::HdltsOptions& options, std::uint64_t seed,
-                     const std::string& family, bool compare_legacy) {
+                     const std::string& family) {
   // Dropping a failure can change the forced outcome (e.g. removing one of
   // the all-die-at-zero entries may allow completion), so the minimizer
   // only chases *validator* complaints once it starts mutating: a scenario
@@ -226,7 +222,7 @@ std::string minimize(const sim::Workload& workload,
   auto fails = [&](const sim::Workload& w,
                    const std::vector<core::ProcFailure>& p,
                    PlanExpectation e) {
-    return !run_and_validate(w, p, e, options, compare_legacy).empty();
+    return !run_and_validate(w, p, e, options).empty();
   };
 
   for (std::size_t i = 0; i < plan.size();) {
@@ -260,8 +256,7 @@ std::string minimize(const sim::Workload& workload,
     }
   }
 
-  const auto violations =
-      run_and_validate(best, plan, expect_now, options, compare_legacy);
+  const auto violations = run_and_validate(best, plan, expect_now, options);
   std::string repro = "seed=" + std::to_string(seed) + " family=" + family +
                       " tasks=" + std::to_string(best_m) + "/" +
                       std::to_string(topo.size()) +
@@ -298,8 +293,7 @@ DstReport run_dst(const DstOptions& options) {
            make_fault_plans(num_procs, clean_makespan, seed)) {
         ++report.online_runs;
         auto violations = run_and_validate(workload, plan.failures,
-                                           plan.expectation, hdlts,
-                                           options.compare_legacy);
+                                           plan.expectation, hdlts);
         if (violations.empty()) continue;
         DstCounterexample cx;
         cx.seed = seed;
@@ -309,7 +303,7 @@ DstReport run_dst(const DstOptions& options) {
         cx.reproducer =
             options.minimize
                 ? minimize(workload, plan.failures, plan.expectation, hdlts,
-                           seed, kFamilies[family], options.compare_legacy)
+                           seed, kFamilies[family])
                 : "seed=" + std::to_string(seed) + " family=" +
                       kFamilies[family] +
                       " failures=" + describe_plan(plan.failures);
@@ -333,11 +327,9 @@ DstReport run_dst(const DstOptions& options) {
         const core::StreamResult sres = core::run_stream(arrivals, sopt);
         const StreamValidator svalidator(sopt);
         auto violations = svalidator.validate(arrivals, sres);
-        if (options.compare_legacy) {
-          const core::StreamResult sref =
-              core::run_stream_legacy(arrivals, sopt);
-          diff_stream(sres, sref, &violations);
-        }
+        const core::StreamResult sref =
+            core::run_stream_legacy(arrivals, sopt);
+        diff_stream(sres, sref, &violations);
         if (violations.empty()) continue;
         DstCounterexample cx;
         cx.seed = seed;
@@ -373,11 +365,9 @@ DstReport run_dst(const DstOptions& options) {
       const StreamValidator pvalidator(sopt);
       auto violations =
           pvalidator.validate(periodic.arrivals, periodic.busy, pres);
-      if (options.compare_legacy) {
-        const core::StreamResult pref = core::run_stream_legacy(
-            periodic.arrivals, sopt, nullptr, periodic.busy);
-        diff_stream(pres, pref, &violations);
-      }
+      const core::StreamResult pref = core::run_stream_legacy(
+          periodic.arrivals, sopt, nullptr, periodic.busy);
+      diff_stream(pres, pref, &violations);
       if (!violations.empty()) {
         DstCounterexample cx;
         cx.seed = seed;

@@ -2,7 +2,9 @@
 //
 // run_dst() sweeps seed × workload family (random / FFT / Montage / MD /
 // fork-join) × fault plan, replays every run through the check validators,
-// and — when a run violates an invariant or a plan's forced outcome — emits
+// diffs it (exact ==) against the legacy dynamic oracles
+// core::run_online_legacy / core::run_stream_legacy, and — when a run
+// violates an invariant, a plan's forced outcome or that diff — emits
 // a *minimized* reproducer: failures are greedily dropped, then the task
 // graph is bisected down a topological prefix, and the derived seed is
 // printed so the exact cell can be replayed (docs/TESTING.md shows how).
@@ -29,10 +31,6 @@ struct DstOptions {
   bool include_periodic = true;
   /// Shrink counterexamples before reporting (drop failures, bisect tasks).
   bool minimize = true;
-  /// Replay every cell through the legacy reference schedulers and require
-  /// the compiled results to be bit-identical (executions, makespan, lost
-  /// counts). Doubles the sweep cost; divergence is reported as a violation.
-  bool compare_legacy = true;
 };
 
 struct DstCounterexample {

@@ -1,5 +1,5 @@
 // EnergyAwareHdlts is header-only over Hdlts (the weighted selection rule
-// lives in hdlts.cpp so both the legacy and compiled paths share it); this
+// lives in hdlts.cpp, next to the min-EFT scan it replaces); this
 // translation unit just anchors the class for the module's object list.
 #include "hdlts/core/energy_aware.hpp"
 

@@ -8,7 +8,6 @@
 #include "hdlts/obs/metrics.hpp"
 #include "hdlts/obs/span.hpp"
 #include "hdlts/obs/trace.hpp"
-#include "hdlts/sched/placement.hpp"
 #include "hdlts/simd/kernels.hpp"
 #include "hdlts/util/thread_pool.hpp"
 
@@ -54,31 +53,15 @@ struct HdltsMetrics {
   }
 };
 
-/// A task sitting in the ITQ (legacy path). Ready times are fixed once a
-/// task becomes independent (all parents are placed — and duplicated, if
-/// eligible — before it enters the queue), so they are cached. The EFT row
-/// and its PV moments are kept current incrementally: after each placement
-/// only the columns of processors whose availability changed are recomputed.
-struct ItqEntry {
-  graph::TaskId task = graph::kInvalidTask;
-  std::vector<double> ready;  ///< per alive processor, problem.procs() order
-  std::vector<double> eft;    ///< cached EFT row, parallel to `ready`
-  PvAccumulator pv;           ///< moments of `eft` (current in dynamic mode)
-  double frozen_pv = 0.0;     ///< used when dynamic_priorities is off
-
-  ItqEntry(graph::TaskId v, std::size_t np, PvKind kind)
-      : task(v), ready(np), eft(np), pv(kind, np) {}
-};
-
 /// Weighted EFT+energy CPU selection (energy_weight != 0 only; the weight-0
 /// configuration never reaches this function — it runs the literal baseline
 /// min-EFT scan, so its schedules stay bit-identical to plain HDLTS).
 /// Among processors whose EFT meets the deadline, picks the argmin of
 /// EFT + weight * E_dyn, ties to the lower column index; when no processor
 /// meets the deadline, falls back to the baseline min-EFT scan. `dyn(pi)`
-/// must be the task's dynamic energy on column pi — W * (busy - idle), the
-/// exact product sim::CompiledProblem::dyn_energy caches, so the legacy and
-/// compiled paths read identical bits.
+/// is the task's dynamic energy on column pi — the W * (busy - idle)
+/// product sim::CompiledProblem::dyn_energy caches, which is also what
+/// core::ReferenceHdlts recomputes from the platform.
 template <typename DynEnergy>
 std::size_t select_weighted(const double* row, std::size_t np, double weight,
                             double deadline, DynEnergy dyn) {
@@ -112,305 +95,7 @@ void Hdlts::schedule_into(const sim::Problem& problem,
                           sim::Schedule& out) const {
   const obs::TimingSpan span("hdlts.schedule_into");
   out.reset(problem.num_tasks(), problem.num_procs());
-  if (use_compiled()) {
-    run_compiled(problem.compiled(), out);
-  } else {
-    run_legacy(problem, nullptr, out);
-  }
-}
-
-sim::Schedule Hdlts::schedule_traced(const sim::Problem& problem,
-                                     HdltsTrace* trace) const {
-  sim::Schedule schedule(problem.num_tasks(), problem.num_procs());
-  run_legacy(problem, trace, schedule);
-  return schedule;
-}
-
-void Hdlts::run_legacy(const sim::Problem& problem, HdltsTrace* trace,
-                       sim::Schedule& schedule) const {
-  const auto& g = problem.graph();
-  const auto& procs = problem.procs();
-  const std::size_t np = procs.size();
-
-  obs::DecisionTrace* const sink = trace_sink();
-  if (sink != nullptr) {
-    sink->on_begin({name(), problem.num_tasks(), problem.num_procs()});
-  }
-  std::uint64_t eft_recomputes = 0;
-  std::uint64_t dup_count = 0;
-  std::size_t itq_high_water = 0;
-  std::size_t step_index = 0;
-
-  const auto entries = g.entry_tasks();
-  const bool unique_entry = entries.size() == 1;
-
-  std::vector<std::size_t> pending(g.num_tasks());
-  std::vector<ItqEntry> itq;
-
-  // Alive-processor index of each ProcId (changed-proc log entries -> column).
-  constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> column_of(problem.num_procs(), kNoColumn);
-  for (std::size_t pi = 0; pi < np; ++pi) column_of[procs[pi]] = pi;
-
-  // EFT of an ITQ entry on procs[pi] under the current schedule state.
-  auto eft_of = [&](const ItqEntry& e, std::size_t pi) {
-    const platform::ProcId p = procs[pi];
-    const double duration = problem.exec_time(e.task, p);
-    const double est =
-        schedule.earliest_start(p, e.ready[pi], duration, options_.insertion);
-    return est + duration;
-  };
-
-  auto push_ready = [&](graph::TaskId v) {
-    ItqEntry e(v, np, options_.pv);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      e.ready[pi] = schedule.ready_time(problem, v, procs[pi]);
-      e.eft[pi] = eft_of(e, pi);
-    }
-    e.pv.assign(e.eft);
-    if (!options_.dynamic_priorities) {
-      // Conventional static list: the PV is computed against the schedule
-      // state at the moment the task becomes independent and never updated.
-      e.frozen_pv = e.pv.pv();
-    }
-    itq.push_back(std::move(e));
-  };
-
-  // Recomputes, for every queued entry, exactly the EFT columns of the
-  // processors `place`/`place_duplicate` touched since `mark` — the chosen
-  // processor plus any duplicate hosts. Columns of untouched processors are
-  // pure functions of unchanged state and stay bitwise valid.
-  std::vector<std::size_t> dirty;
-  std::vector<bool> dirty_seen(np, false);
-  auto refresh_dirty_columns = [&](std::uint64_t mark) {
-    dirty.clear();
-    for (const platform::ProcId p : schedule.procs_changed_since(mark)) {
-      const std::size_t pi = column_of[p];
-      HDLTS_EXPECTS(pi != kNoColumn);
-      if (!dirty_seen[pi]) {
-        dirty_seen[pi] = true;
-        dirty.push_back(pi);
-      }
-    }
-    for (const std::size_t pi : dirty) dirty_seen[pi] = false;
-    eft_recomputes += dirty.size() * itq.size();
-    for (ItqEntry& e : itq) {
-      for (const std::size_t pi : dirty) {
-        const double eft = eft_of(e, pi);
-        if (eft != e.eft[pi]) {
-          e.eft[pi] = eft;
-          e.pv.update(pi, eft);
-        }
-      }
-    }
-  };
-
-  for (graph::TaskId v = 0; v < g.num_tasks(); ++v) {
-    pending[v] = g.in_degree(v);
-    if (pending[v] == 0) push_ready(v);
-  }
-
-  // A task is "free" when it costs nothing anywhere (pseudo entry/exit).
-  auto is_free_task = [&](graph::TaskId v) {
-    const auto row = problem.costs().row(v);
-    for (const double c : row) {
-      if (c > 0.0) return false;
-    }
-    return true;
-  };
-  // Duplication candidates: the unique entry (Algorithm 1), and — with the
-  // duplicate_all_sources extension — every source task (no parents, or
-  // only zero-cost pseudo parents).
-  auto qualifies_for_duplication = [&](graph::TaskId v) {
-    if (options_.duplication == DuplicationRule::kOff) return false;
-    if (unique_entry && v == entries.front()) return true;
-    if (!options_.duplicate_all_sources) return false;
-    const auto parents = g.parents(v);
-    if (parents.empty()) return true;
-    for (const graph::Adjacent& p : parents) {
-      if (!is_free_task(p.task)) return false;
-    }
-    return true;
-  };
-
-  // Entry/source-task duplication, Algorithm 1. Runs right after the task's
-  // primary placement. When the task is the unique entry scheduled first,
-  // every processor is still empty and the duplicate occupies
-  // [0, W(entry, k)] — the paper's Table I behaviour; in the generalized
-  // case duplicates go into idle slots.
-  auto duplicate_task = [&](graph::TaskId v) {
-    const auto children = g.children(v);
-    if (children.empty() || is_free_task(v)) return;
-    const sim::Placement& primary = schedule.placement(v);
-    for (const platform::ProcId k : procs) {
-      if (k == primary.proc) continue;
-      const double dup_dur = problem.exec_time(v, k);
-      const double dup_ready = schedule.ready_time(problem, v, k);
-      const double dup_start =
-          schedule.earliest_start(k, dup_ready, dup_dur, /*insertion=*/true);
-      const double dup_finish = dup_start + dup_dur;
-      // The duplicate "benefits" child j when it finishes before j's input
-      // could arrive from the primary copy over the network.
-      std::size_t benefits = 0;
-      double best_arrival = std::numeric_limits<double>::infinity();
-      for (const graph::Adjacent& c : children) {
-        const double arrival =
-            primary.finish + problem.comm_time_data(c.data, primary.proc, k);
-        best_arrival = std::min(best_arrival, arrival);
-        if (dup_finish < arrival) ++benefits;
-      }
-      const bool do_duplicate =
-          options_.duplication == DuplicationRule::kAnyChildBenefits
-              ? benefits > 0
-              : benefits == children.size();
-      if (sink != nullptr) {
-        obs::DuplicationEvent ev;
-        ev.task = v;
-        ev.primary_proc = primary.proc;
-        ev.candidate_proc = k;
-        ev.dup_start = dup_start;
-        ev.dup_finish = dup_finish;
-        ev.best_arrival = best_arrival;
-        ev.benefits = benefits;
-        ev.num_children = children.size();
-        ev.accepted = do_duplicate;
-        sink->on_duplication(ev);
-      }
-      if (do_duplicate) {
-        schedule.place_duplicate(v, k, dup_start, dup_finish);
-        ++dup_count;
-        if (sink != nullptr) {
-          sink->on_placement({v, k, dup_start, dup_finish, true});
-        }
-        if (trace != nullptr) trace->duplicated_on.push_back(k);
-      }
-    }
-  };
-
-  // ITQ snapshot scratch for the sink (queue order, matching the compiled
-  // path's position-parallel arrays bit for bit).
-  std::vector<graph::TaskId> snap_tasks;
-  std::vector<double> snap_pvs;
-
-  while (!itq.empty()) {
-    itq_high_water = std::max(itq_high_water, itq.size());
-    // Prioritize: every entry's cached PV is current (refreshed after the
-    // previous placement), so a round costs O(|ITQ|) instead of O(|ITQ| * P).
-    auto pv_of = [&](const ItqEntry& e) {
-      return options_.dynamic_priorities ? e.pv.pv() : e.frozen_pv;
-    };
-    std::size_t pick = 0;
-    double pick_pv = pv_of(itq[0]);
-    for (std::size_t i = 1; i < itq.size(); ++i) {
-      const double p = pv_of(itq[i]);
-      // Highest PV wins; ties go to the lower task id for determinism (the
-      // rule is order-independent, so swap-remove below cannot change picks).
-      if (p > pick_pv || (p == pick_pv && itq[i].task < itq[pick].task)) {
-        pick = i;
-        pick_pv = p;
-      }
-    }
-
-    if (trace != nullptr) {
-      HdltsStep step;
-      step.selected = itq[pick].task;
-      step.eft = itq[pick].eft;
-      for (std::size_t i = 0; i < itq.size(); ++i) {
-        step.ready.push_back(itq[i].task);
-        step.pv.push_back(pv_of(itq[i]));
-      }
-      // Present the ITQ in ascending task id, like the paper's Table I.
-      std::vector<std::size_t> perm(step.ready.size());
-      for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-      std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-        return step.ready[a] < step.ready[b];
-      });
-      HdltsStep sorted;
-      sorted.selected = step.selected;
-      sorted.eft = step.eft;
-      for (const std::size_t i : perm) {
-        sorted.ready.push_back(step.ready[i]);
-        sorted.pv.push_back(step.pv[i]);
-      }
-      trace->steps.push_back(std::move(sorted));
-    }
-
-    if (sink != nullptr) {
-      snap_tasks.clear();
-      snap_pvs.clear();
-      for (const ItqEntry& e : itq) {
-        snap_tasks.push_back(e.task);
-        snap_pvs.push_back(pv_of(e));
-      }
-    }
-
-    // Select the min-EFT processor (ties: lower processor id) from the
-    // cached row, then drop the entry via swap-remove (O(1); the pick rule
-    // above never depends on queue order).
-    const ItqEntry chosen_entry = std::move(itq[pick]);
-    if (pick + 1 != itq.size()) itq[pick] = std::move(itq.back());
-    itq.pop_back();
-    const std::vector<double>& row = chosen_entry.eft;
-    std::size_t best = 0;
-    if (options_.energy_weight == 0.0) {
-      for (std::size_t pi = 1; pi < np; ++pi) {
-        if (row[pi] < row[best]) best = pi;
-      }
-    } else {
-      const platform::Platform& plat = problem.platform();
-      const graph::TaskId v = chosen_entry.task;
-      best = select_weighted(row.data(), np, options_.energy_weight,
-                             options_.deadline, [&](std::size_t pi) {
-                               const platform::ProcId p = procs[pi];
-                               return problem.exec_time(v, p) *
-                                      (plat.busy_power(p) - plat.idle_power(p));
-                             });
-    }
-    const platform::ProcId proc = procs[best];
-    const double finish = row[best];
-    const double start = finish - problem.exec_time(chosen_entry.task, proc);
-    if (trace != nullptr) trace->steps.back().chosen = proc;
-
-    if (sink != nullptr) {
-      obs::StepEvent ev;
-      ev.step = step_index;
-      ev.itq_tasks = snap_tasks;
-      ev.itq_pv = snap_pvs;
-      ev.selected = chosen_entry.task;
-      ev.eft = row;
-      ev.chosen = proc;
-      ev.start = start;
-      ev.finish = finish;
-      sink->on_step(ev);
-    }
-    ++step_index;
-
-    const std::uint64_t mark = schedule.state_version();
-    schedule.place(chosen_entry.task, proc, start, finish);
-    if (sink != nullptr) {
-      sink->on_placement({chosen_entry.task, proc, start, finish, false});
-    }
-    if (qualifies_for_duplication(chosen_entry.task)) {
-      duplicate_task(chosen_entry.task);
-    }
-    refresh_dirty_columns(mark);
-    for (const graph::Adjacent& c : g.children(chosen_entry.task)) {
-      if (--pending[c.task] == 0) push_ready(c.task);
-    }
-  }
-
-  HDLTS_ENSURES(schedule.num_placed() == problem.num_tasks());
-  if (sink != nullptr) {
-    obs::ScheduleEndEvent ev;
-    ev.makespan = schedule.makespan();
-    ev.steps = step_index;
-    ev.itq_high_water = itq_high_water;
-    ev.arena_bytes = 0;  // the legacy path does not use the scratch arena
-    ev.duplicates = dup_count;
-    sink->on_end(ev);
-  }
-  HdltsMetrics::get().flush(schedule.num_placed(), dup_count, eft_recomputes,
-                            itq_high_water);
+  run_compiled(problem.compiled(), out);
 }
 
 // Dispatch on whether a sink is attached: the no-sink instantiation erases
@@ -425,14 +110,14 @@ void Hdlts::run_compiled(const sim::CompiledProblem& problem,
   }
 }
 
-// Flat fast path. Same algorithm as run_legacy, with the per-entry
-// vector-of-vectors state replaced by slot-indexed SoA rows carved from the
-// scratch arena, and the PvAccumulator trees replaced by arena-backed node
-// slices driven through util::tree_ops — the same reduction arithmetic, the
-// same leaf values, the same pv_from_roots formula, hence bit-identical
-// schedules (tests/compiled_equiv_test.cpp). After the arena and the
-// recycled Schedule are warm, a call performs zero heap allocations
-// (tests/alloc_test.cpp).
+// The HDLTS loop over the flat compiled view. Per-entry state lives in
+// slot-indexed SoA rows carved from the scratch arena, and each entry's PV
+// moments in arena-backed reduction-tree node slices driven through
+// util::tree_ops — the same reduction arithmetic, leaf values and
+// pv_from_roots formula as core::PvAccumulator, hence schedules bit-identical
+// to core::ReferenceHdlts (tests/incremental_equiv_test.cpp). After the
+// arena and the recycled Schedule are warm, a call performs zero heap
+// allocations (tests/alloc_test.cpp).
 //
 // Rows live in *slots*, not task ids: a slot is acquired when a task enters
 // the ITQ and recycled (LIFO) when it leaves, so the touched working set is
@@ -448,8 +133,8 @@ void Hdlts::run_compiled_impl(const sim::CompiledProblem& problem,
   arena.reset();
 
   // Kernel table resolved once per call; every backend is bit-identical to
-  // the scalar reference (src/hdlts/simd/kernels.hpp), so the compiled path
-  // stays exactly equivalent to run_legacy under any HDLTS_SIMD setting.
+  // the scalar reference (src/hdlts/simd/kernels.hpp), so schedules do not
+  // depend on the HDLTS_SIMD setting.
   const simd::Dispatch& simd_k = simd::active();
 
   const std::size_t n = problem.num_tasks();

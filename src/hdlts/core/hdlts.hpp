@@ -18,6 +18,8 @@
 // Semantics pinned by reproducing Table I exactly (see DESIGN.md): PV uses
 // the n-1 (sample) standard deviation, duplicates occupy their processor
 // from t = 0, and children read the entry's output from the cheapest copy.
+// The per-step Table I trace is the decision stream an attached sink
+// receives (sched::Scheduler::set_trace_sink, e.g. obs::RecordingTrace).
 //
 // Implementation: the inner loop is incremental. Each ITQ entry caches its
 // EFT row and PV moments; after a placement only the columns of processors
@@ -85,21 +87,6 @@ struct HdltsOptions {
   double deadline = std::numeric_limits<double>::infinity();
 };
 
-/// One scheduling step, mirroring a row of the paper's Table I.
-struct HdltsStep {
-  std::vector<graph::TaskId> ready;  ///< ITQ at selection time (id order)
-  std::vector<double> pv;            ///< penalty values, parallel to `ready`
-  graph::TaskId selected = graph::kInvalidTask;
-  std::vector<double> eft;           ///< EFT of `selected` per alive processor
-  platform::ProcId chosen = platform::kInvalidProc;
-};
-
-struct HdltsTrace {
-  std::vector<HdltsStep> steps;
-  /// Processors that received an entry-task duplicate.
-  std::vector<platform::ProcId> duplicated_on;
-};
-
 class Hdlts : public sched::Scheduler {
  public:
   explicit Hdlts(HdltsOptions options = {}) : options_(options) {}
@@ -109,27 +96,17 @@ class Hdlts : public sched::Scheduler {
 
   sim::Schedule schedule(const sim::Problem& problem) const override;
 
-  /// The zero-allocation entry point: on the compiled path (the default)
-  /// with a warmed scratch arena and a recycled `out`, a steady-state call
-  /// performs no heap allocation at all (tests/alloc_test.cpp).
+  /// The zero-allocation entry point: with a warmed scratch arena and a
+  /// recycled `out`, a steady-state call performs no heap allocation at all
+  /// (tests/alloc_test.cpp).
   void schedule_into(const sim::Problem& problem,
                      sim::Schedule& out) const override;
 
-  /// Like schedule() but records every step (used to regenerate Table I).
-  /// Always runs the legacy path (tracing is a cold diagnostic).
-  sim::Schedule schedule_traced(const sim::Problem& problem,
-                                HdltsTrace* trace) const;
-
  private:
-  /// Original implementation over the mutable TaskGraph/CostTable reads.
-  /// `sink` (sched::Scheduler::trace_sink, may be null) receives the same
-  /// decision events as the compiled path, in the same order.
-  void run_legacy(const sim::Problem& problem, HdltsTrace* trace,
-                  sim::Schedule& schedule) const;
-  /// Flat fast path over sim::CompiledProblem: task-indexed SoA ready/EFT
-  /// rows and arena-backed PV reduction trees, bit-identical to run_legacy
-  /// (same FP op sequences; enforced in tests/compiled_equiv_test.cpp).
-  /// Dispatches to run_compiled_impl on whether a trace sink is attached.
+  /// Runs over sim::CompiledProblem: task-indexed SoA ready/EFT rows and
+  /// arena-backed PV reduction trees, bit-identical to core::ReferenceHdlts
+  /// (tests/incremental_equiv_test.cpp). Dispatches to run_compiled_impl on
+  /// whether a trace sink is attached.
   void run_compiled(const sim::CompiledProblem& problem,
                     sim::Schedule& schedule) const;
   /// The hot loop, templated on a compile-time sink policy (obs::NullSink /

@@ -332,9 +332,9 @@ OnlineResult run_online_legacy(const sim::Workload& workload,
 //     (base_for(#alive)), the same tree shape penalty_value builds over the
 //     legacy compacted row — identity-padding dead columns instead would
 //     change the pairwise summation order and the bits.
-void OnlineHdlts::run_compiled(const sim::Problem& problem,
-                               std::span<const ProcFailure> failures,
-                               OnlineResult& out, obs::DecisionTrace* sink) {
+void OnlineHdlts::run_into(const sim::Problem& problem,
+                           std::span<const ProcFailure> failures,
+                           OnlineResult& out, obs::DecisionTrace* sink) {
   const sim::CompiledProblem& cp = problem.compiled();
   util::ScratchArena& arena = arena_;
   arena.reset();
@@ -714,23 +714,10 @@ void OnlineHdlts::run_compiled(const sim::Problem& problem,
 OnlineResult OnlineHdlts::run(const sim::Workload& workload,
                               std::span<const ProcFailure> failures,
                               obs::DecisionTrace* sink) {
-  if (!use_compiled_) return run_online_legacy(workload, failures, options_, sink);
   const sim::Problem problem(workload);  // validates + freezes once
   OnlineResult out;
-  run_compiled(problem, failures, out, sink);
+  run_into(problem, failures, out, sink);
   return out;
-}
-
-void OnlineHdlts::run_into(const sim::Problem& problem,
-                           std::span<const ProcFailure> failures,
-                           OnlineResult& out, obs::DecisionTrace* sink) {
-  if (!use_compiled_) {
-    const sim::Workload copy{problem.graph(), problem.costs(),
-                             problem.platform()};
-    out = run_online_legacy(copy, failures, options_, sink);
-    return;
-  }
-  run_compiled(problem, failures, out, sink);
 }
 
 OnlineResult run_online(const sim::Workload& workload,

@@ -22,7 +22,7 @@
 //
 // Two implementations produce bit-identical results (tests/dst_test.cpp,
 // tests/online_test.cpp):
-//   * the compiled path (OnlineHdlts, the default behind run_online) runs
+//   * the compiled path (OnlineHdlts, behind run_online) runs
 //     every phase against the workload's frozen sim::CompiledProblem with
 //     alive-processor column masking, arena-backed SoA ready/EFT rows,
 //     incremental dirty-column EFT refresh, and simd::active() kernels —
@@ -70,41 +70,28 @@ struct OnlineResult {
 
 /// Reusable online scheduler. Owns the scratch arena, the recycled Schedule,
 /// and the committed/fresh execution buffers, so repeated runs over the same
-/// problem shape reach a zero-heap-allocation steady state on the compiled
-/// path (tests/alloc_test.cpp: OnlineCompiledSteadyState).
+/// problem shape reach a zero-heap-allocation steady state
+/// (tests/alloc_test.cpp: OnlineCompiledSteadyState).
 class OnlineHdlts {
  public:
   explicit OnlineHdlts(HdltsOptions options = {}) : options_(options) {}
 
   const HdltsOptions& options() const { return options_; }
 
-  /// Compiled (default) vs legacy reference path; mirrors
-  /// sched::Scheduler::set_use_compiled. The legacy path delegates to
-  /// run_online_legacy and allocates freely.
-  bool use_compiled() const { return use_compiled_; }
-  void set_use_compiled(bool use) { use_compiled_ = use; }
-
-  /// Runs the workflow under the fault plan. Validates (and on the compiled
-  /// path freezes) the workload internally.
+  /// Runs the workflow under the fault plan. Validates and freezes the
+  /// workload internally.
   OnlineResult run(const sim::Workload& workload,
                    std::span<const ProcFailure> failures,
                    obs::DecisionTrace* sink = nullptr);
 
-  /// Compiled-path entry point over an already-frozen problem: with a warm
-  /// arena and a recycled `out`, a steady-state call performs no heap
-  /// allocation. With use_compiled() off this falls back to the legacy path
-  /// (copying the workload; reference/negative-control only).
+  /// Entry point over an already-frozen problem: with a warm arena and a
+  /// recycled `out`, a steady-state call performs no heap allocation.
   void run_into(const sim::Problem& problem,
                 std::span<const ProcFailure> failures, OnlineResult& out,
                 obs::DecisionTrace* sink = nullptr);
 
  private:
-  void run_compiled(const sim::Problem& problem,
-                    std::span<const ProcFailure> failures, OnlineResult& out,
-                    obs::DecisionTrace* sink);
-
   HdltsOptions options_;
-  bool use_compiled_ = true;
   util::ScratchArena arena_;
   sim::Schedule schedule_{0, 1};
   std::vector<OnlineExec> committed_;  // finished or unstoppable executions

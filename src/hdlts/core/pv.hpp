@@ -9,11 +9,11 @@
 // PV as rebuilding from the full row. A single-column update costs O(log P)
 // instead of the O(P) full reduction.
 //
-// PvAccumulator owns its trees (used by the reference and the legacy path);
-// the compiled fast path carves tree node storage from a ScratchArena and
-// drives it through util::tree_ops plus the pv_op_a/pv_op_b/pv_leaf_b/
-// pv_from_roots helpers below — the same ops, the same leaf values, the same
-// final formula, hence the same bits.
+// PvAccumulator owns its trees (it backs penalty_value, the full recompute
+// the reference oracles use); the schedulers carve tree node storage from a
+// ScratchArena and drive it through util::tree_ops plus the pv_op_a/pv_op_b/
+// pv_leaf_b/pv_from_roots helpers below — the same ops, the same leaf
+// values, the same final formula, hence the same bits.
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "hdlts/graph/algorithms.hpp"
-#include "hdlts/sched/ranking.hpp"
 
 namespace hdlts::core {
 
@@ -154,6 +153,26 @@ sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
     for (std::size_t pi = 1; pi < np; ++pi) {
       if (row[pi] < row[best]) best = pi;
     }
+    if (options_.energy_weight != 0.0) {
+      // Weighted rule: the first minimum of EFT + weight * dynamic energy
+      // among the processors that meet the deadline; when none does, the
+      // min-EFT pick above stands.
+      const platform::Platform& plat = problem.platform();
+      bool eligible = false;
+      double best_key = 0.0;
+      for (std::size_t pi = 0; pi < np; ++pi) {
+        if (row[pi] > options_.deadline) continue;
+        const platform::ProcId p = procs[pi];
+        const double dyn = problem.exec_time(chosen_entry.task, p) *
+                           (plat.busy_power(p) - plat.idle_power(p));
+        const double key = row[pi] + options_.energy_weight * dyn;
+        if (!eligible || key < best_key) {
+          best = pi;
+          best_key = key;
+          eligible = true;
+        }
+      }
+    }
     const platform::ProcId proc = procs[best];
     const double finish = row[best];
     const double start = finish - problem.exec_time(chosen_entry.task, proc);
@@ -172,8 +191,19 @@ sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
 }
 
 sim::Schedule ReferenceHeft::schedule(const sim::Problem& problem) const {
-  const auto rank = sched::upward_rank_mean(problem);
-  const auto order = graph::topological_order(problem.graph());
+  const auto& g = problem.graph();
+  const auto order = graph::topological_order(g);
+
+  // Upward rank straight from the mutable structures, independent of the
+  // compiled view production HEFT ranks on.
+  std::vector<double> rank(problem.num_tasks(), 0.0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    double best = 0.0;
+    for (const graph::Adjacent& c : g.children(*it)) {
+      best = std::max(best, problem.mean_comm_data(c.data) + rank[c.task]);
+    }
+    rank[*it] = problem.costs().mean(*it) + best;
+  }
 
   std::vector<std::size_t> topo_pos(problem.num_tasks());
   for (std::size_t i = 0; i < order.size(); ++i) topo_pos[order[i]] = i;

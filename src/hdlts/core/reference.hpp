@@ -6,9 +6,13 @@
 // did: the full EFT row of every ITQ entry is rebuilt from scratch each
 // round, and every availability / earliest-start query rescans the processor
 // timeline instead of using sim::Schedule's O(1) caches. ReferenceHeft does
-// the same for HEFT. Both must produce bit-identical schedules to their
-// optimized counterparts on every input; neither is registered in
-// default_registry() — they exist for verification and benchmarking only.
+// the same for HEFT and computes its upward rank itself rather than through
+// sched::upward_rank_mean. ReferenceHdlts honours every HdltsOptions field that
+// shapes the schedule, the weighted energy/deadline rule included (dynamic
+// energy recomputed from the Platform, not read from the compiled cache).
+// Both must produce bit-identical schedules to their optimized counterparts
+// on every input; neither is registered in default_registry() — they exist
+// for verification and benchmarking only.
 #pragma once
 
 #include "hdlts/core/hdlts.hpp"

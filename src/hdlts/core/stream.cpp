@@ -580,9 +580,6 @@ void StreamHdlts::run_into(StreamResult& out, obs::DecisionTrace* sink) {
 StreamResult StreamHdlts::run(std::span<const StreamArrival> arrivals,
                               obs::DecisionTrace* sink,
                               std::span<const BusyInterval> busy) {
-  if (!use_compiled_) {
-    return run_stream_legacy(arrivals, options_, sink, busy);
-  }
   compile(arrivals, busy);
   StreamResult out;
   run_into(out, sink);

@@ -12,7 +12,7 @@
 //
 // Two implementations produce bit-identical results (tests/stream_test.cpp,
 // tests/dst_test.cpp):
-//   * the compiled path (StreamHdlts, the default behind run_stream) merges
+//   * the compiled path (StreamHdlts, behind run_stream) merges
 //     the arrivals once into a combined CSR sim::CompiledProblem (the
 //     combiner reserves exact task/edge counts) and schedules with
 //     arena-backed SoA ready/EFT rows, incremental dirty-column refresh,
@@ -118,11 +118,6 @@ class StreamHdlts {
 
   const StreamOptions& options() const { return options_; }
 
-  /// Compiled (default) vs legacy reference path; only affects run() —
-  /// run_into() always schedules the frozen compiled problem.
-  bool use_compiled() const { return use_compiled_; }
-  void set_use_compiled(bool use) { use_compiled_ = use; }
-
   /// Validates the arrivals and freezes them into the combined problem.
   /// `busy` (optional) pins pre-occupied processor intervals that every
   /// subsequent run_into() re-applies to the Schedule at init. Throws
@@ -137,15 +132,13 @@ class StreamHdlts {
   /// steady state with a null sink.
   void run_into(StreamResult& out, obs::DecisionTrace* sink = nullptr);
 
-  /// compile() + run_into() (or the legacy reference when use_compiled()
-  /// is off).
+  /// compile() + run_into().
   StreamResult run(std::span<const StreamArrival> arrivals,
                    obs::DecisionTrace* sink = nullptr,
                    std::span<const BusyInterval> busy = {});
 
  private:
   StreamOptions options_;
-  bool use_compiled_ = true;
   std::unique_ptr<detail::FrozenStream> frozen_;
   std::optional<sim::Problem> problem_;
   util::ScratchArena arena_;

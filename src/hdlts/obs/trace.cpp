@@ -1,5 +1,8 @@
 #include "hdlts/obs/trace.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "hdlts/sim/schedule.hpp"
 
 namespace hdlts::obs {
@@ -78,6 +81,19 @@ std::size_t RecordingTrace::num_tasks() const {
 std::size_t RecordingTrace::num_procs() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return num_procs_;
+}
+
+RecordingTrace::StepRecord itq_in_task_order(RecordingTrace::StepRecord step) {
+  std::vector<std::pair<graph::TaskId, double>> rows;
+  for (std::size_t i = 0; i < step.itq_tasks.size(); ++i) {
+    rows.emplace_back(step.itq_tasks[i], step.itq_pv[i]);
+  }
+  std::sort(rows.begin(), rows.end());  // ITQ task ids are unique
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    step.itq_tasks[i] = rows[i].first;
+    step.itq_pv[i] = rows[i].second;
+  }
+  return step;
 }
 
 void emit_schedule(DecisionTrace* sink, std::string_view scheduler,

@@ -176,6 +176,11 @@ class RecordingTrace final : public DecisionTrace {
   bool has_end_ = false;
 };
 
+/// `step` with its ITQ snapshot (tasks and their PVs) sorted by ascending
+/// task id — the order the paper's Table I prints; sinks receive the
+/// snapshot in queue order.
+RecordingTrace::StepRecord itq_in_task_order(RecordingTrace::StepRecord step);
+
 /// Replays a finished schedule into `sink` as begin/placement/end events —
 /// the one-line instrumentation hook for baselines whose inner loops are not
 /// worth threading a sink through. Placements are emitted in per-processor

@@ -13,9 +13,8 @@ namespace {
 
 constexpr double kTieEps = 1e-9;
 
-template <typename View>
-void run_cpop(const View& view, util::ScratchArena& arena, bool insertion,
-              sim::Schedule& schedule) {
+void run_cpop(const sim::CompiledProblem& view, util::ScratchArena& arena,
+              bool insertion, sim::Schedule& schedule) {
   const std::size_t n = view.num_tasks();
   const auto up = arena.alloc<double>(n);
   const auto down = arena.alloc<double>(n);
@@ -113,11 +112,7 @@ void Cpop::schedule_into(const sim::Problem& problem,
                          sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_cpop(problem.compiled(), scratch(), insertion_, out);
-  } else {
-    run_cpop(sim::LegacyView(problem), scratch(), insertion_, out);
-  }
+  run_cpop(problem.compiled(), scratch(), insertion_, out);
   obs::emit_schedule(trace_sink(), name(), out);
 }
 

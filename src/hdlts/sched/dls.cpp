@@ -10,8 +10,8 @@ namespace hdlts::sched {
 namespace {
 
 /// Static levels: SL(v) = meanW(v) + max over children SL(c) (no comm).
-template <typename View>
-void static_levels_view(const View& view, std::span<double> sl) {
+void static_levels_view(const sim::CompiledProblem& view,
+                        std::span<double> sl) {
   const auto order = view.topo_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const graph::TaskId v = *it;
@@ -23,9 +23,8 @@ void static_levels_view(const View& view, std::span<double> sl) {
   }
 }
 
-template <typename View>
-void run_dls(const View& view, util::ScratchArena& arena, bool insertion,
-             sim::Schedule& schedule) {
+void run_dls(const sim::CompiledProblem& view, util::ScratchArena& arena,
+             bool insertion, sim::Schedule& schedule) {
   const std::size_t n = view.num_tasks();
   const auto sl = arena.alloc<double>(n);
   static_levels_view(view, sl);
@@ -74,7 +73,7 @@ void run_dls(const View& view, util::ScratchArena& arena, bool insertion,
 
 std::vector<double> static_levels(const sim::Problem& problem) {
   std::vector<double> sl(problem.num_tasks(), 0.0);
-  static_levels_view(sim::LegacyView(problem), sl);
+  static_levels_view(problem.compiled(), sl);
   return sl;
 }
 
@@ -87,11 +86,7 @@ sim::Schedule Dls::schedule(const sim::Problem& problem) const {
 void Dls::schedule_into(const sim::Problem& problem, sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_dls(problem.compiled(), scratch(), insertion_, out);
-  } else {
-    run_dls(sim::LegacyView(problem), scratch(), insertion_, out);
-  }
+  run_dls(problem.compiled(), scratch(), insertion_, out);
 }
 
 }  // namespace hdlts::sched

@@ -13,9 +13,9 @@ namespace hdlts::sched {
 
 namespace {
 
-template <typename View>
-void run_heft(const View& view, util::ScratchArena& arena, bool insertion,
-              sim::Schedule& schedule, obs::DecisionTrace* sink) {
+void run_heft(const sim::CompiledProblem& view, util::ScratchArena& arena,
+              bool insertion, sim::Schedule& schedule,
+              obs::DecisionTrace* sink) {
   const std::size_t n = view.num_tasks();
   const auto rank = arena.alloc<double>(n);
   upward_rank_mean(view, rank);
@@ -89,12 +89,7 @@ void Heft::schedule_into(const sim::Problem& problem,
                          sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_heft(problem.compiled(), scratch(), insertion_, out, trace_sink());
-  } else {
-    run_heft(sim::LegacyView(problem), scratch(), insertion_, out,
-             trace_sink());
-  }
+  run_heft(problem.compiled(), scratch(), insertion_, out, trace_sink());
 }
 
 }  // namespace hdlts::sched

@@ -11,9 +11,8 @@ namespace hdlts::sched {
 
 namespace {
 
-template <typename View>
-void run_lookahead(const View& view, util::ScratchArena& arena, bool insertion,
-                   sim::Schedule& schedule) {
+void run_lookahead(const sim::CompiledProblem& view, util::ScratchArena& arena,
+                   bool insertion, sim::Schedule& schedule) {
   const std::size_t n = view.num_tasks();
   const auto rank = arena.alloc<double>(n);
   upward_rank_mean(view, rank);
@@ -89,11 +88,7 @@ void LookaheadHeft::schedule_into(const sim::Problem& problem,
                                   sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_lookahead(problem.compiled(), scratch(), insertion_, out);
-  } else {
-    run_lookahead(sim::LegacyView(problem), scratch(), insertion_, out);
-  }
+  run_lookahead(problem.compiled(), scratch(), insertion_, out);
 }
 
 }  // namespace hdlts::sched

@@ -10,9 +10,8 @@ namespace hdlts::sched {
 
 namespace {
 
-template <typename View>
-void run_peft(const View& view, util::ScratchArena& arena, bool insertion,
-              sim::Schedule& schedule) {
+void run_peft(const sim::CompiledProblem& view, util::ScratchArena& arena,
+              bool insertion, sim::Schedule& schedule) {
   const std::size_t n = view.num_tasks();
   const auto& procs = view.procs();
   const std::size_t np = procs.size();
@@ -76,11 +75,7 @@ void Peft::schedule_into(const sim::Problem& problem,
                          sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_peft(problem.compiled(), scratch(), insertion_, out);
-  } else {
-    run_peft(sim::LegacyView(problem), scratch(), insertion_, out);
-  }
+  run_peft(problem.compiled(), scratch(), insertion_, out);
   obs::emit_schedule(trace_sink(), name(), out);
 }
 

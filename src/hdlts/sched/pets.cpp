@@ -11,9 +11,8 @@ namespace hdlts::sched {
 
 namespace {
 
-template <typename View>
-void run_pets(const View& view, util::ScratchArena& arena, bool insertion,
-              sim::Schedule& schedule) {
+void run_pets(const sim::CompiledProblem& view, util::ScratchArena& arena,
+              bool insertion, sim::Schedule& schedule) {
   const std::size_t n = view.num_tasks();
   const auto level = view.levels();
   const auto acc = arena.alloc<double>(n);
@@ -52,11 +51,7 @@ void Pets::schedule_into(const sim::Problem& problem,
                          sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_pets(problem.compiled(), scratch(), insertion_, out);
-  } else {
-    run_pets(sim::LegacyView(problem), scratch(), insertion_, out);
-  }
+  run_pets(problem.compiled(), scratch(), insertion_, out);
   obs::emit_schedule(trace_sink(), name(), out);
 }
 

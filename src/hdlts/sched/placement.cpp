@@ -5,7 +5,7 @@ namespace hdlts::sched {
 PlacementChoice eft_on(const sim::Problem& problem,
                        const sim::Schedule& schedule, graph::TaskId task,
                        platform::ProcId proc, bool insertion) {
-  return eft_on(sim::LegacyView(problem), schedule, task, proc, insertion);
+  return eft_on(problem.compiled(), schedule, task, proc, insertion);
 }
 
 std::vector<double> eft_vector(const sim::Problem& problem,
@@ -23,7 +23,7 @@ std::vector<double> eft_vector(const sim::Problem& problem,
 PlacementChoice best_eft(const sim::Problem& problem,
                          const sim::Schedule& schedule, graph::TaskId task,
                          bool insertion) {
-  return best_eft(sim::LegacyView(problem), schedule, task, insertion);
+  return best_eft(problem.compiled(), schedule, task, insertion);
 }
 
 void commit(sim::Schedule& schedule, graph::TaskId task,

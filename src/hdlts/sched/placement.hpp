@@ -1,16 +1,14 @@
 // Processor-selection helpers shared by all EFT-based schedulers.
 //
-// The templates take any problem view satisfying the sim/views.hpp
-// interface (sim::CompiledProblem or sim::LegacyView); the sim::Problem
-// overloads below wrap LegacyView for the schedulers that have not been
-// ported to the dual-path layout.
+// The inline forms read the flat sim::CompiledProblem view the ported
+// schedulers run on; the sim::Problem overloads below run the same code on
+// problem.compiled() for the schedulers that take a sim::Problem directly.
 #pragma once
 
 #include <vector>
 
 #include "hdlts/sim/problem.hpp"
 #include "hdlts/sim/schedule.hpp"
-#include "hdlts/sim/views.hpp"
 
 namespace hdlts::sched {
 
@@ -22,20 +20,20 @@ struct PlacementChoice {
 
 /// EST/EFT of `task` on processor `proc` given the current partial schedule
 /// (Definitions 6 and 7). All parents must be placed.
-template <typename View>
-PlacementChoice eft_on(const View& view, const sim::Schedule& schedule,
-                       graph::TaskId task, platform::ProcId proc,
-                       bool insertion) {
-  const double ready = schedule.ready_time(view.ready_base(), task, proc);
+inline PlacementChoice eft_on(const sim::CompiledProblem& view,
+                              const sim::Schedule& schedule,
+                              graph::TaskId task, platform::ProcId proc,
+                              bool insertion) {
+  const double ready = schedule.ready_time(view, task, proc);
   const double duration = view.exec_time(task, proc);
   const double est = schedule.earliest_start(proc, ready, duration, insertion);
   return {proc, est, est + duration};
 }
 
 /// The processor minimizing EFT (ties broken toward the lower processor id).
-template <typename View>
-PlacementChoice best_eft(const View& view, const sim::Schedule& schedule,
-                         graph::TaskId task, bool insertion) {
+inline PlacementChoice best_eft(const sim::CompiledProblem& view,
+                                const sim::Schedule& schedule,
+                                graph::TaskId task, bool insertion) {
   PlacementChoice best;
   for (const platform::ProcId p : view.procs()) {
     const PlacementChoice c = eft_on(view, schedule, task, p, insertion);

@@ -5,11 +5,10 @@
 // publications (HEFT/CPOP: Topcuoglu et al. 2002, PEFT: Arabnejad & Barbosa
 // 2014, PETS: Ilavarasan et al. 2005, SDBATS: Munir et al. 2013).
 //
-// Each rank is a template over the sim/views.hpp problem-view interface
-// writing into caller-provided storage (the ported schedulers carve it from
-// their ScratchArena), instantiated for both sim::CompiledProblem and
-// sim::LegacyView; the vector-returning sim::Problem overloads wrap the
-// legacy view for unported callers and tests.
+// Each rank reads the flat sim::CompiledProblem view and writes into
+// caller-provided storage (the ported schedulers carve it from their
+// ScratchArena); the vector-returning sim::Problem overloads run the same
+// code on problem.compiled() for unported callers and tests.
 #pragma once
 
 #include <algorithm>
@@ -19,15 +18,15 @@
 #include <vector>
 
 #include "hdlts/sim/problem.hpp"
-#include "hdlts/sim/views.hpp"
 
 namespace hdlts::sched {
 
 /// HEFT upward rank: rank_u(v) = weight(v) + max over children c of
 /// (mean_comm(v,c) + rank_u(c)); exit tasks have rank_u = weight.
 /// `weight(v)` is the task's mean cost for HEFT, its cost stddev for SDBATS.
-template <typename View, typename WeightFn>
-void upward_rank(const View& view, WeightFn weight, std::span<double> rank) {
+template <typename WeightFn>
+void upward_rank(const sim::CompiledProblem& view, WeightFn weight,
+                 std::span<double> rank) {
   const auto order = view.topo_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const graph::TaskId v = *it;
@@ -39,21 +38,21 @@ void upward_rank(const View& view, WeightFn weight, std::span<double> rank) {
   }
 }
 
-template <typename View>
-void upward_rank_mean(const View& view, std::span<double> rank) {
+inline void upward_rank_mean(const sim::CompiledProblem& view,
+                             std::span<double> rank) {
   upward_rank(view, [&](graph::TaskId v) { return view.mean_cost(v); }, rank);
 }
 
-template <typename View>
-void upward_rank_stddev(const View& view, std::span<double> rank) {
+inline void upward_rank_stddev(const sim::CompiledProblem& view,
+                               std::span<double> rank) {
   upward_rank(view, [&](graph::TaskId v) { return view.stddev_cost(v); },
               rank);
 }
 
 /// CPOP downward rank: rank_d(v) = max over parents u of
 /// (rank_d(u) + mean_W(u) + mean_comm(u,v)); entry tasks have rank_d = 0.
-template <typename View>
-void downward_rank_mean(const View& view, std::span<double> rank) {
+inline void downward_rank_mean(const sim::CompiledProblem& view,
+                               std::span<double> rank) {
   const auto order = view.topo_order();
   std::fill(rank.begin(), rank.end(), 0.0);
   for (const graph::TaskId v : order) {
@@ -68,8 +67,7 @@ void downward_rank_mean(const View& view, std::span<double> rank) {
 /// min over q of (OCT(c,q) + W(c,q) + [p != q] * mean_comm(v,c));
 /// exit rows are zero. Row-major: oct[v * np + pi] with np the number of
 /// *alive* processors, indexed by position in view.procs().
-template <typename View>
-void oct_table(const View& view, std::span<double> oct) {
+inline void oct_table(const sim::CompiledProblem& view, std::span<double> oct) {
   const auto& procs = view.procs();
   const std::size_t np = procs.size();
   const auto order = view.topo_order();
@@ -93,9 +91,8 @@ void oct_table(const View& view, std::span<double> oct) {
 }
 
 /// Mean of the OCT row of each task — the PEFT priority (rank_oct).
-template <typename View>
-void oct_rank(const View& view, std::span<const double> oct,
-              std::span<double> rank) {
+inline void oct_rank(const sim::CompiledProblem& view,
+                     std::span<const double> oct, std::span<double> rank) {
   const std::size_t np = view.procs().size();
   HDLTS_EXPECTS(oct.size() == view.num_tasks() * np);
   for (graph::TaskId v = 0; v < view.num_tasks(); ++v) {
@@ -113,8 +110,7 @@ struct PetsRankSpans {
   std::span<double> rank;  ///< round(acc + dtc + rpt).
 };
 
-template <typename View>
-void pets_rank(const View& view, PetsRankSpans out) {
+inline void pets_rank(const sim::CompiledProblem& view, PetsRankSpans out) {
   const std::size_t n = view.num_tasks();
   std::fill(out.rpt.begin(), out.rpt.end(), 0.0);
   for (graph::TaskId v = 0; v < n; ++v) {
@@ -135,7 +131,7 @@ void pets_rank(const View& view, PetsRankSpans out) {
   }
 }
 
-// --- sim::Problem wrappers (legacy view, vector-returning) ---
+// --- sim::Problem wrappers (vector-returning) ---
 
 std::vector<double> upward_rank_mean(const sim::Problem& problem);
 std::vector<double> downward_rank_mean(const sim::Problem& problem);

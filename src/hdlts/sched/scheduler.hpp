@@ -31,29 +31,21 @@ class Scheduler {
   virtual sim::Schedule schedule(const sim::Problem& problem) const = 0;
 
   /// Like schedule() but reuses the caller's Schedule (reset, capacities
-  /// kept). Ported schedulers override this as the real entry point — with a
-  /// warmed scratch() and a recycled `out`, core::Hdlts reaches a
-  /// zero-allocation steady state on the compiled path
-  /// (tests/alloc_test.cpp). Default: delegates to schedule().
+  /// kept). Ported schedulers override this as the real entry point: they
+  /// read the problem's flat sim::CompiledProblem view, and with a warmed
+  /// scratch() and a recycled `out` they reach a zero-allocation steady
+  /// state (tests/alloc_test.cpp). Default: delegates to schedule().
   virtual void schedule_into(const sim::Problem& problem,
                              sim::Schedule& out) const {
     out = schedule(problem);
   }
 
-  /// Selects the problem view the ported schedulers read: the compiled flat
-  /// CSR/W layout (default) or the legacy TaskGraph/CostTable reads. Both
-  /// produce bit-identical schedules; the legacy path exists so
-  /// bench/micro_layout can measure what the layout buys. Unported
-  /// schedulers ignore the flag.
-  bool use_compiled() const { return use_compiled_; }
-  void set_use_compiled(bool use_compiled) { use_compiled_ = use_compiled; }
-
   /// Optional per-decision trace sink (obs::DecisionTrace). Null by default;
   /// instrumented schedulers emit structured events into it, the rest fall
   /// back to obs::emit_schedule's begin/placement/end replay. Attaching a
-  /// sink never changes the produced schedule; with the sink null the
-  /// compiled HDLTS path runs the exact uninstrumented instruction stream
-  /// (the hot loop is templated on a compile-time sink policy).
+  /// sink never changes the produced schedule; with the sink null HDLTS
+  /// runs the exact uninstrumented instruction stream (the hot loop is
+  /// templated on a compile-time sink policy).
   obs::DecisionTrace* trace_sink() const { return trace_sink_; }
   void set_trace_sink(obs::DecisionTrace* sink) { trace_sink_ = sink; }
 
@@ -76,7 +68,6 @@ class Scheduler {
   util::ScratchArena& scratch() const { return scratch_; }
 
  private:
-  bool use_compiled_ = true;
   obs::DecisionTrace* trace_sink_ = nullptr;
   util::ThreadPool* thread_pool_ = nullptr;
   mutable util::ScratchArena scratch_;

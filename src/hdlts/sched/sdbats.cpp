@@ -11,9 +11,9 @@ namespace hdlts::sched {
 
 namespace {
 
-template <typename View>
-void run_sdbats(const View& view, util::ScratchArena& arena, bool insertion,
-                bool entry_duplication, sim::Schedule& schedule) {
+void run_sdbats(const sim::CompiledProblem& view, util::ScratchArena& arena,
+                bool insertion, bool entry_duplication,
+                sim::Schedule& schedule) {
   const std::size_t n = view.num_tasks();
   const auto rank = arena.alloc<double>(n);
   upward_rank_stddev(view, rank);
@@ -60,13 +60,8 @@ void Sdbats::schedule_into(const sim::Problem& problem,
                            sim::Schedule& out) const {
   out.reset(problem.num_tasks(), problem.num_procs());
   scratch().reset();
-  if (use_compiled()) {
-    run_sdbats(problem.compiled(), scratch(), insertion_, entry_duplication_,
-               out);
-  } else {
-    run_sdbats(sim::LegacyView(problem), scratch(), insertion_,
-               entry_duplication_, out);
-  }
+  run_sdbats(problem.compiled(), scratch(), insertion_, entry_duplication_,
+             out);
   obs::emit_schedule(trace_sink(), name(), out);
 }
 

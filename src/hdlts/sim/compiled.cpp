@@ -49,7 +49,7 @@ CompiledProblem::CompiledProblem(const graph::TaskGraph& g,
 
   // W: verbatim row-major copy; per-task summaries use the same util::stats
   // calls CostTable's accessors do, over the same full rows (dead processors
-  // included), so every cached double equals the legacy recompute bitwise.
+  // included), so every cached double equals CostTable's recompute bitwise.
   w_.reserve(num_tasks_ * num_procs_);
   mean_cost_.resize(num_tasks_);
   min_cost_.resize(num_tasks_);

@@ -15,16 +15,16 @@
 //     table) and a flat P x P bandwidth table;
 //   - precomputed per-task mean / min / sample-stddev cost and the free-task
 //     flag, computed with the same util::stats calls CostTable uses, so the
-//     cached double is bit-identical to what the legacy path recomputes;
+//     cached double is bit-identical to what CostTable recomputes;
 //   - topological order, precedence levels, entry/exit lists, the alive
 //     processor list and its ProcId -> column map.
 //
 // Accessors are deliberately unchecked (no HDLTS_EXPECTS): all indices were
 // validated once at compile time, and removing the per-lookup branch from
-// the scheduler inner loops is a large part of the layout speedup
-// (bench/micro_layout). Anything mutating the underlying workload must build
-// a fresh Problem (and hence a fresh CompiledProblem) — the same snapshot
-// semantics Problem already had for its alive-processor list.
+// the scheduler inner loops is a large part of what the flat layout buys.
+// Anything mutating the underlying workload must build a fresh Problem (and
+// hence a fresh CompiledProblem) — the same snapshot semantics Problem
+// already had for its alive-processor list.
 #pragma once
 
 #include <span>
@@ -135,10 +135,6 @@ class CompiledProblem {
   std::span<const graph::TaskId> exit_tasks() const { return exits_; }
   /// Precedence level of each task (entries at 0).
   std::span<const std::size_t> levels() const { return levels_; }
-
-  /// Uniform-view hook (see sim/views.hpp): the object
-  /// sim::Schedule::ready_time dispatches on.
-  const CompiledProblem& ready_base() const { return *this; }
 
  private:
   std::size_t num_tasks_ = 0;

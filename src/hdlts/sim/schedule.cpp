@@ -132,7 +132,8 @@ namespace {
 
 /// Shared ready-time loop: `parents` yields {task, data} in the graph's
 /// adjacency order, `comm` must be the view's comm_time_data. One body for
-/// the legacy and compiled overloads keeps the FP op sequence identical.
+/// the Problem and CompiledProblem overloads keeps the FP op sequence
+/// identical.
 template <typename ProblemLike>
 double ready_time_impl(const Schedule& schedule,
                        const std::vector<std::vector<Placement>>& dup,

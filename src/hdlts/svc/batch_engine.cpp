@@ -564,7 +564,6 @@ void BatchEngine::process(Worker& worker, const BatchRequest& request) {
         // requests only hit the map lookup above.
         Worker::CacheEntry entry;
         entry.scheduler = registry_.make(name);
-        entry.scheduler->set_use_compiled(options_.use_compiled);
         entry.scheduler->set_trace_sink(options_.trace_sink);
         entry.latency = &obs::MetricRegistry::global().histogram(
             "svc.batch.latency_ms." + name, kLatencyBoundsMs);

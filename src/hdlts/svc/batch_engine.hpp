@@ -7,7 +7,7 @@
 // drain loops executes them, each worker owning a recycled sim::Schedule, a
 // per-scheduler instance cache (whose ScratchArena warms once), and a
 // reusable error buffer — so the steady state stays zero-allocation per
-// request on the compiled path (tests/alloc_test.cpp::BatchEngineSteadyState).
+// request (tests/alloc_test.cpp::BatchEngineSteadyState).
 //
 // Queueing is sharded: each worker owns a bounded ring (its shard) and
 // submissions are dealt round-robin across shards, so in the balanced case a
@@ -144,8 +144,6 @@ struct BatchEngineOptions {
   /// the static-oracle rung of the hierarchy in docs/TESTING.md; the
   /// dynamic paths have their own validators in check/.
   bool check_schedules = false;
-  /// Forwarded to every scheduler instance (sched::Scheduler::set_use_compiled).
-  bool use_compiled = true;
   /// Optional decision-trace sink attached to every scheduler instance;
   /// must be thread-safe (obs::RecordingTrace is).
   obs::DecisionTrace* trace_sink = nullptr;

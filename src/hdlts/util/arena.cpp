@@ -1,6 +1,11 @@
 #include "hdlts/util/arena.hpp"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
+#include <new>
 
 namespace hdlts::util {
 
@@ -10,13 +15,32 @@ std::size_t align_up(std::size_t offset, std::size_t align) {
   return (offset + align - 1) & ~(align - 1);
 }
 
+std::atomic<std::uint64_t> g_mapped_buffers{0};
+
 }  // namespace
 
+void UnmapBuffer::operator()(std::byte* buffer) const noexcept {
+  ASAN_UNPOISON_MEMORY_REGION(buffer, bytes);
+  ::munmap(buffer, bytes);
+}
+
+void ScratchArena::map_primary(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  g_mapped_buffers.fetch_add(1, std::memory_order_relaxed);
+  buffer_.reset(static_cast<std::byte*>(p));
+  buffer_.get_deleter().bytes = bytes;
+  capacity_ = bytes;
+  ASAN_POISON_MEMORY_REGION(p, bytes);
+}
+
+std::uint64_t ScratchArena::mapped_buffers() {
+  return g_mapped_buffers.load(std::memory_order_relaxed);
+}
+
 ScratchArena::ScratchArena(std::size_t initial_bytes) {
-  if (initial_bytes > 0) {
-    buffer_ = std::make_unique<std::byte[]>(initial_bytes);
-    capacity_ = initial_bytes;
-  }
+  if (initial_bytes > 0) map_primary(initial_bytes);
 }
 
 void ScratchArena::reset() {
@@ -26,9 +50,10 @@ void ScratchArena::reset() {
     std::size_t total = capacity_;
     for (const Overflow& o : overflow_) total += o.size;
     total += total / 2;
-    buffer_ = std::make_unique<std::byte[]>(total);
-    capacity_ = total;
+    map_primary(total);
     overflow_.clear();
+  } else if (buffer_) {
+    ASAN_POISON_MEMORY_REGION(buffer_.get(), capacity_);
   }
   cursor_ = 0;
   used_ = 0;
@@ -43,6 +68,7 @@ void* ScratchArena::carve(std::size_t bytes, std::size_t align) {
   if (aligned + bytes <= capacity_) {
     cursor_ = aligned + bytes;
     used_ += bytes;
+    ASAN_UNPOISON_MEMORY_REGION(buffer_.get() + aligned, bytes);
     return buffer_.get() + aligned;
   }
   // Then the most recent overflow block.

@@ -7,7 +7,15 @@
 // cursor, and once the buffer has grown to the per-call high-water mark no
 // further heap allocation happens — the property the zero-allocation
 // steady-state regression test (tests/alloc_test.cpp) pins for
-// core::Hdlts::schedule_into on the compiled path.
+// core::Hdlts::schedule_into.
+//
+// The primary buffer is mapped straight from the OS, not taken from the
+// malloc heap: it lives as long as its scheduler, and inside the heap it
+// ends up between short-lived per-request buffers, where its position
+// decides how much freed heap stays resident. mapped_buffers() counts the
+// maps so that the allocation checks still see every regrow; the short-lived
+// overflow blocks stay on operator new. Under AddressSanitizer the part of
+// the primary buffer the current cycle has not carved is poisoned.
 //
 // Carved memory is uninitialized; callers write before they read (the same
 // contract a freshly reserve()d vector would not give). Only trivially
@@ -16,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -24,6 +33,12 @@
 #include "hdlts/util/error.hpp"
 
 namespace hdlts::util {
+
+/// Unmaps a ScratchArena primary buffer of `bytes`.
+struct UnmapBuffer {
+  std::size_t bytes = 0;
+  void operator()(std::byte* buffer) const noexcept;
+};
 
 class ScratchArena {
  public:
@@ -59,10 +74,15 @@ class ScratchArena {
   /// steady-state cycle must keep this false).
   bool overflowed() const { return !overflow_.empty(); }
 
+  /// Primary buffers mapped so far, process-wide.
+  static std::uint64_t mapped_buffers();
+
  private:
   void* carve(std::size_t bytes, std::size_t align);
+  /// Maps a fresh primary buffer of `bytes`, poisoned under ASan.
+  void map_primary(std::size_t bytes);
 
-  std::unique_ptr<std::byte[]> buffer_;
+  std::unique_ptr<std::byte[], UnmapBuffer> buffer_;
   std::size_t capacity_ = 0;
   std::size_t cursor_ = 0;  // offset into buffer_
   std::size_t used_ = 0;    // total carved this cycle (all blocks)

@@ -1,28 +1,34 @@
-// Zero-allocation regression tests for the compiled scheduling path.
+// Zero-allocation regression tests for the scheduling hot paths.
 //
-// The PR contract: with a warmed scratch arena and a recycled Schedule, a
-// steady-state schedule_into() call on the compiled path performs ZERO heap
-// allocations. Enforced here with the operator-new interposer from
+// The contract: with a warmed scratch arena and a recycled Schedule, a
+// steady-state schedule_into() call performs ZERO heap allocations.
+// Enforced here with the operator-new interposer from
 // tests/support/alloc_hook.cpp (linked into this binary only).
 //
 // Warm-up needs two calls: the first carves overflow blocks from an empty
 // arena, the second folds them into a regrown primary buffer (one final
-// allocation); from the third call on the arena only rewinds. The recycled
-// Schedule's vectors are at capacity after the first call.
+// allocation, counted by the interposer although the arena maps it); from
+// the third call on the arena only rewinds. The recycled Schedule's vectors
+// are at capacity after the first call.
 #include "support/alloc_hook.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hdlts/core/energy_aware.hpp"
 #include "hdlts/core/hdlts.hpp"
 #include "hdlts/core/online.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/core/stream.hpp"
 #include "hdlts/obs/monitor.hpp"
 #include "hdlts/sched/registry.hpp"
 #include "hdlts/svc/batch_engine.hpp"
+#include "hdlts/util/arena.hpp"
 #include "hdlts/util/thread_pool.hpp"
 #include "hdlts/workload/random_dag.hpp"
 
@@ -75,11 +81,41 @@ TEST(AllocHook, CountsAllocations) {
   EXPECT_GE(after.bytes - before.bytes, 1024 * sizeof(double));
 }
 
+TEST(ScratchArena, RegrowsOnceThenRewindsWithoutAllocating) {
+  // The arena maps its primary buffer past operator new; alloc_counters()
+  // counts each map, so the zero-allocation checks below still see a cycle
+  // that spills and the regrow that follows it.
+  util::ScratchArena arena;
+  const auto cycle = [&](std::size_t n) {
+    const auto before = tests::alloc_counters();
+    arena.reset();
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::span<std::uint64_t> s = arena.alloc<std::uint64_t>(n);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s.data()) %
+                    alignof(std::uint64_t),
+                0u);
+      for (std::size_t i = 0; i < n; ++i) s[i] = i + k;
+      EXPECT_EQ(s[n - 1], n - 1 + k);
+    }
+    return tests::alloc_counters().allocations - before.allocations;
+  };
+  EXPECT_GT(cycle(1000), 0u);  // spills into overflow blocks
+  EXPECT_TRUE(arena.overflowed());
+  const std::uint64_t maps = util::ScratchArena::mapped_buffers();
+  EXPECT_EQ(cycle(1000), 1u);  // the regrown primary buffer, and it fits
+  EXPECT_EQ(util::ScratchArena::mapped_buffers(), maps + 1);
+  EXPECT_FALSE(arena.overflowed());
+  EXPECT_GE(arena.capacity(), 4 * 1000 * sizeof(std::uint64_t));
+  EXPECT_EQ(cycle(1000), 0u);
+  EXPECT_EQ(cycle(500), 0u);
+  EXPECT_GT(cycle(5000), 0u);  // outgrows the primary buffer again
+  EXPECT_TRUE(arena.overflowed());
+}
+
 TEST(ZeroAlloc, HdltsCompiledSteadyState) {
   const sim::Workload w = make_workload(400, 8, 7);
   const sim::Problem problem(w);
   const core::Hdlts hdlts;
-  ASSERT_TRUE(hdlts.use_compiled());
   expect_zero_traffic(hdlts, problem);
 }
 
@@ -105,7 +141,6 @@ TEST(ZeroAlloc, EnergyAwareWeightedSteadyState) {
   options.energy_weight = 3.0;
   options.deadline = 1e6;
   const core::EnergyAwareHdlts hdlts(options);
-  ASSERT_TRUE(hdlts.use_compiled());
   expect_zero_traffic(hdlts, problem);
 }
 
@@ -134,7 +169,6 @@ TEST(ZeroAlloc, HdltsParallelEftSteadyState) {
   options.parallel_min_work = 0;  // team dispatch on every round
   core::Hdlts hdlts(options);
   hdlts.set_thread_pool(&pool);
-  ASSERT_TRUE(hdlts.use_compiled());
   expect_zero_traffic(hdlts, problem);
 }
 
@@ -229,7 +263,6 @@ TEST(ZeroAlloc, MonitorIdleKeepsZeroAllocSteadyState) {
   const sim::Workload w = make_workload(400, 8, 7);
   const sim::Problem problem(w);
   const core::Hdlts hdlts;
-  ASSERT_TRUE(hdlts.use_compiled());
   expect_zero_traffic(hdlts, problem);
   // sample_once() itself may allocate — it runs on the monitor thread, off
   // the measured path. Just prove the monitor still works after the run.
@@ -247,7 +280,6 @@ TEST(ZeroAlloc, OnlineCompiledSteadyState) {
   const sim::Problem problem(w);
   const std::vector<core::ProcFailure> failures{{1, 25.0}, {5, 60.0}};
   core::OnlineHdlts scheduler;
-  ASSERT_TRUE(scheduler.use_compiled());
   core::OnlineResult out;
   for (int i = 0; i < 2; ++i) {
     scheduler.run_into(problem, failures, out);
@@ -342,29 +374,41 @@ TEST(ZeroAlloc, StreamLegacyPathStillAllocates) {
   EXPECT_GT(after.allocations - before.allocations, 0u);
 }
 
-TEST(ZeroAlloc, LegacyPathStillAllocates) {
-  // Negative control: the legacy (pointer-chasing) path allocates its
-  // per-entry vectors every call — if this ever reads 0 the measurement
-  // itself is broken.
+TEST(ZeroAlloc, ReferenceStillAllocates) {
+  // Negative control: the brute-force reference rebuilds its per-entry
+  // vectors and the Schedule every call — if this ever reads 0 the
+  // measurement itself is broken.
   const sim::Workload w = make_workload(400, 8, 7);
   const sim::Problem problem(w);
-  core::Hdlts hdlts;
-  hdlts.set_use_compiled(false);
-  EXPECT_GT(steady_state_traffic(hdlts, problem).allocations, 0u);
+  const core::ReferenceHdlts reference;
+  EXPECT_GT(steady_state_traffic(reference, problem).allocations, 0u);
 }
 
-TEST(ZeroAlloc, CompiledAndLegacyAgreeWhileCounting) {
-  // The two paths must stay bit-identical with the interposer active (the
-  // hook must be an observer, not a behaviour change).
+TEST(ZeroAlloc, HdltsMatchesReferenceWhileCounting) {
+  // The interposer must be an observer, not a behaviour change: with it
+  // active, core::Hdlts still matches the brute-force reference bit for bit
+  // on every placement and duplicate.
   const sim::Workload w = make_workload(250, 7, 21);
   const sim::Problem problem(w);
-  core::Hdlts hdlts;
-  sim::Schedule compiled(problem.num_tasks(), problem.num_procs());
-  sim::Schedule legacy(problem.num_tasks(), problem.num_procs());
-  hdlts.schedule_into(problem, compiled);
-  hdlts.set_use_compiled(false);
-  hdlts.schedule_into(problem, legacy);
-  EXPECT_EQ(compiled.makespan(), legacy.makespan());
+  const core::Hdlts hdlts;
+  sim::Schedule got(problem.num_tasks(), problem.num_procs());
+  hdlts.schedule_into(problem, got);
+  const sim::Schedule want = core::ReferenceHdlts().schedule(problem);
+  EXPECT_EQ(got.makespan(), want.makespan());
+  for (graph::TaskId v = 0; v < problem.num_tasks(); ++v) {
+    SCOPED_TRACE("task " + std::to_string(v));
+    EXPECT_EQ(got.placement(v).proc, want.placement(v).proc);
+    EXPECT_EQ(got.placement(v).start, want.placement(v).start);
+    EXPECT_EQ(got.placement(v).finish, want.placement(v).finish);
+    const auto dg = got.duplicates(v);
+    const auto dw = want.duplicates(v);
+    ASSERT_EQ(dg.size(), dw.size());
+    for (std::size_t i = 0; i < dg.size(); ++i) {
+      EXPECT_EQ(dg[i].proc, dw[i].proc);
+      EXPECT_EQ(dg[i].start, dw[i].start);
+      EXPECT_EQ(dg[i].finish, dw[i].finish);
+    }
+  }
 }
 
 }  // namespace

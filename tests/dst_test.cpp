@@ -47,15 +47,14 @@ TEST(DstTest, SweepFindsNoViolations) {
 }
 
 TEST(DstTest, SweepComparesCompiledAgainstLegacyByDefault) {
-  // The compiled/legacy differential is part of the default sweep: every
-  // online cell and both stream policies replay through the legacy
-  // reference schedulers and ==-compare executions, makespan, and lost
-  // counts. Divergence surfaces as a counterexample.
-  EXPECT_TRUE(check::DstOptions{}.compare_legacy);
+  // The compiled/legacy differential is part of every sweep: every online
+  // cell and both stream policies replay through the legacy reference
+  // schedulers and ==-compare executions, makespan, and lost counts.
+  // Divergence surfaces as a counterexample.
   check::DstOptions options;
   options.rounds = 1;
-  options.compare_legacy = true;
   const check::DstReport report = check::run_dst(options);
+  report_counterexamples(report);
   EXPECT_TRUE(report.ok());
 }
 

@@ -1,7 +1,11 @@
 // Energy model tests, including the §II-B duplication/energy trade-off.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "hdlts/core/energy_aware.hpp"
 #include "hdlts/core/hdlts.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/metrics/energy.hpp"
 #include "hdlts/sched/sdbats.hpp"
 #include "hdlts/workload/classic.hpp"
@@ -95,7 +99,8 @@ TEST(Energy, CompiledRowsMatchTheDefinition) {
   // The shared cost model caches dyn_energy(v,p) = W(v,p) * (busy - idle)
   // and static_power(p) = idle_power(p) at compile time — bit-identical to
   // recomputing from the platform, which is what keeps the weighted
-  // selection rule equal between the legacy and compiled paths.
+  // selection rule equal between core::Hdlts (cached rows) and
+  // core::ReferenceHdlts (recomputed).
   sim::Workload w = workload::classic_workload();
   w.platform.set_power(0, 2.0, 0.5);
   w.platform.set_power(2, 4.0, 1.0);
@@ -162,25 +167,46 @@ TEST(Energy, BusyIntervalsCarryNoEnergy) {
   EXPECT_EQ(a.total(), b.total());
 }
 
-TEST(Energy, WeightedSelectionCompiledMatchesLegacy) {
-  // The weighted rule computes the dynamic-energy term as the same
-  // W * (busy - idle) product on both paths, so a weighted scheduler must
-  // stay bit-identical between schedule() (compiled) and schedule_traced()
-  // (legacy) just like the baseline does.
+TEST(Energy, WeightedSelectionCompiledMatchesReference) {
+  // The weighted rule reads the dynamic-energy term from the compiled
+  // dyn_energy rows; core::ReferenceHdlts recomputes W * (busy - idle) from
+  // the Platform. The production schedulers — Hdlts with a weight and a
+  // deadline, and the "hdlts-energy" preset — must match it bit for bit on
+  // the worked example, placements and duplicates alike.
   const sim::Workload w = workload::classic_workload();
   const sim::Problem p(w);
   core::HdltsOptions options;
   options.energy_weight = 2.5;
   options.deadline = 120.0;
-  const core::Hdlts scheduler(options);
-  const sim::Schedule compiled = scheduler.schedule(p);
-  const sim::Schedule legacy = scheduler.schedule_traced(p, nullptr);
-  EXPECT_EQ(compiled.makespan(), legacy.makespan());
-  for (graph::TaskId v = 0; v < p.num_tasks(); ++v) {
-    EXPECT_EQ(compiled.placement(v).proc, legacy.placement(v).proc);
-    EXPECT_EQ(compiled.placement(v).start, legacy.placement(v).start);
-    EXPECT_EQ(compiled.placement(v).finish, legacy.placement(v).finish);
+  const core::Hdlts weighted(options);
+  const core::EnergyAwareHdlts preset;
+  const std::pair<const core::Hdlts*, core::HdltsOptions> cases[] = {
+      {&weighted, options},
+      {&preset, core::EnergyAwareHdlts::energy_defaults()}};
+  for (const auto& [scheduler, reference_options] : cases) {
+    SCOPED_TRACE(scheduler->name());
+    const sim::Schedule compiled = scheduler->schedule(p);
+    const sim::Schedule reference =
+        core::ReferenceHdlts(reference_options).schedule(p);
+    EXPECT_EQ(compiled.makespan(), reference.makespan());
+    for (graph::TaskId v = 0; v < p.num_tasks(); ++v) {
+      EXPECT_EQ(compiled.placement(v).proc, reference.placement(v).proc);
+      EXPECT_EQ(compiled.placement(v).start, reference.placement(v).start);
+      EXPECT_EQ(compiled.placement(v).finish, reference.placement(v).finish);
+      const auto a = compiled.duplicates(v);
+      const auto b = reference.duplicates(v);
+      ASSERT_EQ(a.size(), b.size()) << "task " << v;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].proc, b[i].proc);
+        EXPECT_EQ(a[i].start, b[i].start);
+        EXPECT_EQ(a[i].finish, b[i].finish);
+      }
+    }
   }
+  // The weight moves decisions away from min-EFT, so the comparison covers
+  // the weighted branch rather than the baseline scan.
+  EXPECT_NE(weighted.schedule(p).makespan(),
+            core::Hdlts().schedule(p).makespan());
 }
 
 }  // namespace

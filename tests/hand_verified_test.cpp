@@ -8,7 +8,11 @@
 // Bandwidth 1 everywhere, so comm time == 4 across processors.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "hdlts/core/hdlts.hpp"
+#include "hdlts/obs/trace.hpp"
 #include "hdlts/sched/heft.hpp"
 #include "hdlts/sched/pets.hpp"
 #include "hdlts/sched/ranking.hpp"
@@ -94,20 +98,34 @@ TEST(HandVerified, HdltsEntryDuplicationDecision) {
   // AFT + comm = 2 + 4 = 6 > 4 -> duplicate on P2 occupying [0, 4].
   const sim::Workload w = diamond();
   const sim::Problem p(w);
-  core::HdltsTrace trace;
-  const sim::Schedule s = core::Hdlts().schedule_traced(p, &trace);
+  obs::RecordingTrace trace;
+  core::Hdlts hdlts;
+  hdlts.set_trace_sink(&trace);
+  const sim::Schedule s = hdlts.schedule(p);
   ASSERT_TRUE(s.validate(p).empty());
   EXPECT_EQ(s.placement(0).proc, 0u);
   ASSERT_EQ(s.duplicates(0).size(), 1u);
   EXPECT_EQ(s.duplicates(0)[0].proc, 1u);
   EXPECT_DOUBLE_EQ(s.duplicates(0)[0].finish, 4.0);
+  // The recorded Algorithm-1 verdict, term by term.
+  ASSERT_EQ(trace.duplications().size(), 1u);
+  const obs::DuplicationEvent& dup = trace.duplications()[0];
+  EXPECT_TRUE(dup.accepted);
+  EXPECT_EQ(dup.candidate_proc, 1u);
+  EXPECT_DOUBLE_EQ(dup.dup_finish, 4.0);
+  EXPECT_DOUBLE_EQ(dup.best_arrival, 6.0);
   // With the duplicate, T2's ready time on P2 is 4, not 6: step 2 EFTs are
   // T1: [5, 10], T2: [8, 7]; PVs (sample stddev of 2 values =
   // |a-b|/sqrt(2)): T1 ~ 3.54, T2 ~ 0.71 -> T1 selected, to P1.
-  ASSERT_GE(trace.steps.size(), 2u);
-  EXPECT_EQ(trace.steps[1].selected, 1u);
-  EXPECT_DOUBLE_EQ(trace.steps[1].eft[0], 5.0);
-  EXPECT_DOUBLE_EQ(trace.steps[1].eft[1], 10.0);
+  ASSERT_GE(trace.steps().size(), 2u);
+  const obs::RecordingTrace::StepRecord step2 =
+      obs::itq_in_task_order(trace.steps()[1]);
+  ASSERT_EQ(step2.itq_tasks, (std::vector<graph::TaskId>{1, 2}));
+  EXPECT_NEAR(step2.itq_pv[0], 5.0 / std::sqrt(2.0), 1e-12);
+  EXPECT_NEAR(step2.itq_pv[1], 1.0 / std::sqrt(2.0), 1e-12);
+  EXPECT_EQ(step2.selected, 1u);
+  EXPECT_DOUBLE_EQ(step2.eft[0], 5.0);
+  EXPECT_DOUBLE_EQ(step2.eft[1], 10.0);
 }
 
 }  // namespace

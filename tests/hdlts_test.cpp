@@ -2,7 +2,10 @@
 // default registry.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hdlts/core/hdlts.hpp"
+#include "hdlts/obs/trace.hpp"
 #include "hdlts/sched/heft.hpp"
 #include "hdlts/workload/classic.hpp"
 #include "hdlts/workload/random_dag.hpp"
@@ -14,6 +17,14 @@ class HdltsClassic : public ::testing::Test {
  protected:
   HdltsClassic() : workload_(workload::classic_workload()),
                    problem_(workload_) {}
+
+  /// Schedules with a recording decision sink attached.
+  sim::Schedule schedule_recorded(obs::RecordingTrace& trace) const {
+    Hdlts scheduler;
+    scheduler.set_trace_sink(&trace);
+    return scheduler.schedule(problem_);
+  }
+
   sim::Workload workload_;
   sim::Problem problem_;
 };
@@ -25,13 +36,17 @@ TEST_F(HdltsClassic, MakespanIs73) {
 }
 
 TEST_F(HdltsClassic, EntryDuplicatedOnP1AndP2) {
-  HdltsTrace trace;
-  const sim::Schedule s = Hdlts().schedule_traced(problem_, &trace);
+  obs::RecordingTrace trace;
+  const sim::Schedule s = schedule_recorded(trace);
   // Primary on P3 (fastest, 9); duplicates on P1 [0,14] and P2 [0,16].
   EXPECT_EQ(s.placement(0).proc, 2u);
-  ASSERT_EQ(trace.duplicated_on.size(), 2u);
-  EXPECT_EQ(trace.duplicated_on[0], 0u);
-  EXPECT_EQ(trace.duplicated_on[1], 1u);
+  std::vector<platform::ProcId> duplicated_on;
+  for (const obs::DuplicationEvent& d : trace.duplications()) {
+    if (d.accepted) duplicated_on.push_back(d.candidate_proc);
+  }
+  ASSERT_EQ(duplicated_on.size(), 2u);
+  EXPECT_EQ(duplicated_on[0], 0u);
+  EXPECT_EQ(duplicated_on[1], 1u);
   ASSERT_EQ(s.duplicates(0).size(), 2u);
   EXPECT_DOUBLE_EQ(s.duplicates(0)[0].start, 0.0);
   EXPECT_DOUBLE_EQ(s.duplicates(0)[0].finish, 14.0);
@@ -42,9 +57,9 @@ TEST_F(HdltsClassic, TableOneTraceReproducesExactly) {
   // Every row of the paper's Table I: the ready set, the selected task, its
   // EFT row over P1..P3, and the chosen processor. The penalty values are
   // checked to the paper's one printed decimal.
-  HdltsTrace trace;
-  Hdlts().schedule_traced(problem_, &trace);
-  ASSERT_EQ(trace.steps.size(), 10u);
+  obs::RecordingTrace trace;
+  schedule_recorded(trace);
+  ASSERT_EQ(trace.steps().size(), 10u);
 
   struct Row {
     std::vector<graph::TaskId> ready;  // 0-based task ids
@@ -70,13 +85,14 @@ TEST_F(HdltsClassic, TableOneTraceReproducesExactly) {
   };
   for (std::size_t i = 0; i < expected.size(); ++i) {
     SCOPED_TRACE("step " + std::to_string(i + 1));
-    const HdltsStep& got = trace.steps[i];
+    const obs::RecordingTrace::StepRecord got =
+        obs::itq_in_task_order(trace.steps()[i]);
     const Row& want = expected[i];
-    EXPECT_EQ(got.ready, want.ready);
-    ASSERT_EQ(got.pv.size(), want.pv.size());
+    EXPECT_EQ(got.itq_tasks, want.ready);
+    ASSERT_EQ(got.itq_pv.size(), want.pv.size());
     for (std::size_t j = 0; j < want.pv.size(); ++j) {
       // The paper prints one decimal and truncates (e.g. 2.08 -> "2.0").
-      EXPECT_NEAR(got.pv[j], want.pv[j], 0.1);
+      EXPECT_NEAR(got.itq_pv[j], want.pv[j], 0.1);
     }
     EXPECT_EQ(got.selected, want.selected);
     ASSERT_EQ(got.eft.size(), want.eft.size());

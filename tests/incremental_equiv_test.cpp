@@ -4,18 +4,25 @@
 // brute-force reference implementations (core/reference.hpp) that rebuild
 // every EFT row and rescan every timeline each round — across random DAGs,
 // every PvKind, insertion on/off, every duplication rule, static/dynamic
-// priorities, and dead-processor subsets. The O(1) Schedule caches are also
-// re-verified against full timeline scans after every run.
+// priorities, the weighted energy/deadline selection rule on heterogeneous
+// processor powers, and dead-processor subsets. The O(1) Schedule caches
+// are also re-verified against full timeline scans after every run. The
+// fault-free legacy online path and the traced HDLTS run are pinned to the
+// same schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "hdlts/core/hdlts.hpp"
+#include "hdlts/core/online.hpp"
 #include "hdlts/core/reference.hpp"
+#include "hdlts/obs/trace.hpp"
 #include "hdlts/sched/heft.hpp"
 #include "hdlts/util/rng.hpp"
+#include "hdlts/workload/classic.hpp"
 #include "hdlts/workload/random_dag.hpp"
 
 namespace hdlts {
@@ -36,6 +43,12 @@ sim::Workload random_problem(std::uint64_t seed) {
     if (w.platform.num_alive() > 1 && rng() % 4 == 0) {
       w.platform.set_alive(p, false);
     }
+  }
+  // Per-processor busy/idle powers, so the weighted rule's dynamic-energy
+  // term W * (busy - idle) differs across processors in arbitrary bits.
+  for (platform::ProcId p = 0; p < w.platform.num_procs(); ++p) {
+    const double busy = rng.uniform(0.5, 4.0);
+    w.platform.set_power(p, busy, busy * rng.uniform(0.0, 0.6));
   }
   return w;
 }
@@ -100,6 +113,24 @@ std::vector<core::HdltsOptions> hdlts_option_grid() {
       }
     }
   }
+  // The weighted energy/deadline rule (core::EnergyAwareHdlts): two nonzero
+  // weights, each without and with a finite deadline. The deadline is
+  // absolute and these problems' makespans run from hundreds to thousands,
+  // so 1000 binds partway through most schedules: earlier decisions choose
+  // among the processors that meet it, later ones fall back to min-EFT.
+  for (const double weight : {0.5, 20.0}) {
+    for (const double deadline :
+         {std::numeric_limits<double>::infinity(), 1000.0}) {
+      for (const bool dynamic : {true, false}) {
+        core::HdltsOptions o;
+        o.energy_weight = weight;
+        o.deadline = deadline;
+        o.dynamic_priorities = dynamic;
+        o.insertion = !dynamic;
+        grid.push_back(o);
+      }
+    }
+  }
   return grid;
 }
 
@@ -150,7 +181,7 @@ TEST(IncrementalEquivalence, ReductionTreeSumTracksLeaves) {
 }
 
 TEST(IncrementalEquivalence, HdltsMatchesReferenceAcrossOptionGrid) {
-  const auto grid = hdlts_option_grid();  // 36 option combinations
+  const auto grid = hdlts_option_grid();  // 36 + 8 weighted combinations
   std::size_t problems = 0;
   for (std::size_t ci = 0; ci < grid.size(); ++ci) {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
@@ -171,41 +202,123 @@ TEST(IncrementalEquivalence, HdltsMatchesReferenceAcrossOptionGrid) {
   EXPECT_GE(problems, 200u);
 }
 
-TEST(IncrementalEquivalence, LegacyPathMatchesReferenceAcrossOptionGrid) {
-  // schedule() now defaults to the compiled flat path, so the grid test
-  // above pins compiled == reference. This one pins the retained legacy
-  // (pointer-chasing) path to the same contract, closing the triangle
-  // compiled == legacy == reference.
-  const auto grid = hdlts_option_grid();
-  for (std::size_t ci = 0; ci < grid.size(); ci += 4) {
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      const sim::Workload w = random_problem(seed * 57 + ci);
-      const sim::Problem problem(w);
-      core::Hdlts legacy(grid[ci]);
-      legacy.set_use_compiled(false);
-      const core::ReferenceHdlts reference(grid[ci]);
-      const sim::Schedule got = legacy.schedule(problem);
-      const sim::Schedule want = reference.schedule(problem);
-      expect_identical(got, want,
-                       "legacy combo " + std::to_string(ci) + ", seed " +
-                           std::to_string(seed));
-      expect_caches_consistent(got);
+TEST(IncrementalEquivalence, WeightedRuleMatchesReferenceOnDeadlineBoundaries) {
+  // The paper's worked example has integer costs, so EFTs land exactly on
+  // integer deadlines — a case the random grid never hits. A processor whose
+  // EFT equals the deadline meets it, on both sides.
+  sim::Workload w = workload::classic_workload();
+  w.platform.set_power(0, 3.0, 0.5);
+  w.platform.set_power(1, 1.0, 0.2);
+  w.platform.set_power(2, 2.0, 0.1);
+  const sim::Problem problem(w);
+  for (const double weight : {0.5, 20.0}) {
+    for (double deadline = 0.0; deadline <= 100.0; deadline += 1.0) {
+      core::HdltsOptions o;
+      o.energy_weight = weight;
+      o.deadline = deadline;
+      expect_identical(core::Hdlts(o).schedule(problem),
+                       core::ReferenceHdlts(o).schedule(problem),
+                       "weight " + std::to_string(weight) + ", deadline " +
+                           std::to_string(deadline));
     }
   }
 }
 
+/// A fault-free online run is the static schedule: one surviving execution
+/// per task at its placement, plus exactly the schedule's duplicates.
+void expect_online_matches(const core::OnlineResult& got,
+                           const sim::Schedule& want, const std::string& what) {
+  EXPECT_TRUE(got.completed) << what;
+  EXPECT_EQ(got.lost_executions, 0u) << what;
+  EXPECT_EQ(got.makespan, want.makespan()) << what;
+  std::vector<std::size_t> primaries(want.num_tasks(), 0);
+  std::size_t duplicates = 0;
+  for (const core::OnlineExec& e : got.executions) {
+    ASSERT_LT(e.task, want.num_tasks()) << what;
+    SCOPED_TRACE(what + ", task " + std::to_string(e.task));
+    EXPECT_FALSE(e.lost);
+    if (e.duplicate) {
+      ++duplicates;
+      const auto dups = want.duplicates(e.task);
+      EXPECT_TRUE(std::any_of(dups.begin(), dups.end(),
+                              [&](const sim::Placement& d) {
+                                return d.proc == e.proc &&
+                                       d.start == e.start &&
+                                       d.finish == e.finish;
+                              }));
+      continue;
+    }
+    ++primaries[e.task];
+    const sim::Placement& pl = want.placement(e.task);
+    EXPECT_EQ(e.proc, pl.proc);
+    EXPECT_EQ(e.start, pl.start);
+    EXPECT_EQ(e.finish, pl.finish);
+  }
+  std::size_t want_duplicates = 0;
+  for (graph::TaskId v = 0; v < want.num_tasks(); ++v) {
+    EXPECT_EQ(primaries[v], 1u) << what << ", task " << v;
+    want_duplicates += want.duplicates(v).size();
+  }
+  EXPECT_EQ(duplicates, want_duplicates) << what;
+}
+
+TEST(IncrementalEquivalence, OnlineLegacyFaultFreeMatchesReference) {
+  // The retained legacy path is run_online_legacy, the dynamic oracle that
+  // OnlineHdlts and DST are diffed against. With no failures its cold phase
+  // is the whole run, so it must equal the static reference schedule. That
+  // closes the triangle compiled == legacy (online_test, dst_test) ==
+  // reference. The online runtimes select by min-EFT and duplicate a unique
+  // entry only, so the weighted and duplicate-all-sources combinations are
+  // out of its scope.
+  const auto grid = hdlts_option_grid();
+  std::size_t problems = 0;
+  for (std::size_t ci = 0; ci < grid.size(); ++ci) {
+    if (grid[ci].energy_weight != 0.0 || grid[ci].duplicate_all_sources) {
+      continue;
+    }
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const sim::Workload w = random_problem(seed * 57 + ci);
+      const core::ReferenceHdlts reference(grid[ci]);
+      expect_online_matches(
+          core::run_online_legacy(w, {}, grid[ci]),
+          reference.schedule(sim::Problem(w)),
+          "legacy combo " + std::to_string(ci) + ", seed " +
+              std::to_string(seed));
+      ++problems;
+    }
+  }
+  EXPECT_GE(problems, 100u);
+}
+
 TEST(IncrementalEquivalence, TracedScheduleMatchesUntraced) {
-  // schedule_traced always runs the legacy path; the trace must be a pure
-  // observer, and its schedule must equal the compiled default's.
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const sim::Workload w = random_problem(seed * 11 + 1);
-    const sim::Problem problem(w);
-    const core::Hdlts hdlts;
-    core::HdltsTrace trace;
-    const sim::Schedule traced = hdlts.schedule_traced(problem, &trace);
-    const sim::Schedule untraced = hdlts.schedule(problem);
-    expect_identical(traced, untraced, "seed " + std::to_string(seed));
-    EXPECT_EQ(trace.steps.size(), problem.num_tasks());
+  // The decision trace is a pure observer: attaching a RecordingTrace must
+  // leave every schedule bit-identical, across the option grid. The trace
+  // records one step per task and one accepted duplication per duplicate.
+  const auto grid = hdlts_option_grid();
+  for (std::size_t ci = 0; ci < grid.size(); ci += 3) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const sim::Workload w = random_problem(seed * 11 + ci);
+      const sim::Problem problem(w);
+      const std::string what =
+          "combo " + std::to_string(ci) + ", seed " + std::to_string(seed);
+      obs::RecordingTrace trace;
+      core::Hdlts traced(grid[ci]);
+      traced.set_trace_sink(&trace);
+      const sim::Schedule got = traced.schedule(problem);
+      const sim::Schedule want = core::Hdlts(grid[ci]).schedule(problem);
+      expect_identical(got, want, what);
+      EXPECT_EQ(trace.steps().size(), problem.num_tasks()) << what;
+      std::size_t duplicates = 0;
+      for (graph::TaskId v = 0; v < want.num_tasks(); ++v) {
+        duplicates += want.duplicates(v).size();
+      }
+      const std::size_t accepted = static_cast<std::size_t>(std::count_if(
+          trace.duplications().begin(), trace.duplications().end(),
+          [](const obs::DuplicationEvent& d) { return d.accepted; }));
+      EXPECT_EQ(accepted, duplicates) << what;
+      ASSERT_TRUE(trace.has_end()) << what;
+      EXPECT_EQ(trace.end().makespan, want.makespan()) << what;
+    }
   }
 }
 

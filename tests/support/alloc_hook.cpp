@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "hdlts/util/arena.hpp"
+
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
@@ -34,7 +36,10 @@ namespace hdlts::tests {
 
 AllocCounters alloc_counters() {
   AllocCounters c;
-  c.allocations = g_allocs.load(std::memory_order_relaxed);
+  // ScratchArena maps its primary buffers past operator new; count each
+  // map as the allocation it replaces.
+  c.allocations = g_allocs.load(std::memory_order_relaxed) +
+                  util::ScratchArena::mapped_buffers();
   c.frees = g_frees.load(std::memory_order_relaxed);
   c.bytes = g_bytes.load(std::memory_order_relaxed);
   return c;

@@ -19,7 +19,8 @@
 namespace hdlts::tests {
 
 struct AllocCounters {
-  std::uint64_t allocations = 0;  ///< operator new calls
+  /// operator new calls plus util::ScratchArena primary-buffer maps
+  std::uint64_t allocations = 0;
   std::uint64_t frees = 0;        ///< operator delete calls
   std::uint64_t bytes = 0;        ///< total bytes requested via operator new
 };
