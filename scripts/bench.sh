@@ -64,10 +64,11 @@ if [[ "${MODE}" == "--smoke" ]]; then
   # Reduced effort, same cell shapes. Each default below still honours an
   # explicit env override from the caller.
   export HDLTS_LAYOUT_REPS="${HDLTS_LAYOUT_REPS:-3}"
-  # Enough requests per pass that the 4-thread row on a 4-core runner can
-  # clear the >=3x scaling bar (the bar binds in smoke mode too), and a
-  # second rep so best-of smooths a single noisy pass.
-  export HDLTS_BATCH_REQUESTS="${HDLTS_BATCH_REQUESTS:-24}"
+  # Enough requests per pass that the 4-thread row on a 4-core runner
+  # clears the >=3x scaling bar reliably (the bar binds in smoke mode too):
+  # on a shared 4-vCPU host, 24 requests read 2.6-3.2x and 200 read
+  # 3.5-4.4x. A second rep lets best-of smooth a single noisy pass.
+  export HDLTS_BATCH_REQUESTS="${HDLTS_BATCH_REQUESTS:-200}"
   export HDLTS_BATCH_REPS="${HDLTS_BATCH_REPS:-2}"
   export HDLTS_BENCH_MIN_TIME="${HDLTS_BENCH_MIN_TIME:-0.01}"
   # Smoke-sized dynamic cells: same two rows (the diff needs the shapes),

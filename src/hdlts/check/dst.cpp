@@ -1,6 +1,7 @@
 #include "hdlts/check/dst.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -21,6 +22,9 @@ namespace {
 
 constexpr const char* kFamilies[] = {"random", "fft", "montage", "md",
                                      "forkjoin"};
+constexpr core::PvKind kPvKinds[] = {core::PvKind::kSampleStddev,
+                                     core::PvKind::kPopulationStddev,
+                                     core::PvKind::kRange};
 
 /// Builds one family member. `rng` perturbs the shape parameters so rounds
 /// exercise different graph sizes; `sub` distinguishes the workflows of a
@@ -279,10 +283,14 @@ DstReport run_dst(const DstOptions& options) {
       const std::size_t num_procs =
           static_cast<std::size_t>(rng.uniform_int(3, 4));
 
+      // Options rotate over the rounds; the PV kind and insertion are
+      // offset by the family so every family meets every kind.
       core::HdltsOptions hdlts;
       hdlts.duplication = (round % 3 == 2) ? core::DuplicationRule::kOff
                                            : core::DuplicationRule::kAnyChildBenefits;
       hdlts.dynamic_priorities = round % 2 == 0;
+      hdlts.pv = kPvKinds[(family + round) % std::size(kPvKinds)];
+      hdlts.insertion = (family + round) % 2 == 1;
 
       const sim::Workload workload =
           build_workload(family, num_procs, seed, 0, rng);
@@ -324,6 +332,7 @@ DstReport run_dst(const DstOptions& options) {
         ++report.stream_runs;
         core::StreamOptions sopt;
         sopt.policy = policy;
+        sopt.pv = hdlts.pv;
         const core::StreamResult sres = core::run_stream(arrivals, sopt);
         const StreamValidator svalidator(sopt);
         auto violations = svalidator.validate(arrivals, sres);
@@ -360,6 +369,7 @@ DstReport run_dst(const DstOptions& options) {
       ++report.stream_runs;
       core::StreamOptions sopt;
       sopt.policy = core::StreamPolicy::kHdltsPv;
+      sopt.pv = hdlts.pv;
       const core::StreamResult pres =
           core::run_stream(periodic.arrivals, sopt, nullptr, periodic.busy);
       const StreamValidator pvalidator(sopt);

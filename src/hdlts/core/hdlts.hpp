@@ -21,12 +21,14 @@
 // The per-step Table I trace is the decision stream an attached sink
 // receives (sched::Scheduler::set_trace_sink, e.g. obs::RecordingTrace).
 //
-// Implementation: the inner loop is incremental. Each ITQ entry caches its
-// EFT row and PV moments; after a placement only the columns of processors
-// whose availability changed (sim::Schedule::procs_changed_since) are
-// recomputed, and the PV follows in O(log P) per changed column (core/pv.hpp).
-// Bit-identical to the brute-force recompute — enforced differentially
-// against core::ReferenceHdlts in tests/incremental_equiv_test.cpp; see
+// Implementation: Hdlts runs the static mode of core::ItqEngine
+// (core/itq_engine.hpp), the incremental ITQ the online and stream modes
+// run on too. Each ITQ entry caches its EFT row and PV moments; after a
+// placement only the columns of processors whose availability changed
+// (sim::Schedule::procs_changed_since) are recomputed, and the PV follows in
+// O(log P) per changed column (core/pv.hpp). Bit-identical to the
+// brute-force recompute — enforced differentially against
+// core::ReferenceHdlts in tests/incremental_equiv_test.cpp; see
 // docs/ALGORITHMS.md "Complexity & incremental state".
 #pragma once
 
@@ -65,14 +67,6 @@ struct HdltsOptions {
   /// single-entry graphs with the entry scheduled first this reduces to
   /// Algorithm 1 exactly.
   bool duplicate_all_sources = false;
-  /// Minimum work (EFT cells to recompute in one round) before the compiled
-  /// path fans the per-entry refresh out over the borrowed thread pool
-  /// (sched::Scheduler::set_thread_pool). Below it, or with no pool
-  /// attached, the refresh runs serially; either way the schedule is
-  /// bit-identical (entries write disjoint state, and the selection rule is
-  /// order-independent). Small rounds stay serial because a team dispatch
-  /// costs more than recomputing a few columns.
-  std::size_t parallel_min_work = 4096;
   /// Multi-objective extension (core::EnergyAwareHdlts): weight of dynamic
   /// energy in the CPU selection rule, which becomes
   ///   argmin over eligible p of EFT(v, p) + energy_weight * E_dyn(v, p)
@@ -103,10 +97,9 @@ class Hdlts : public sched::Scheduler {
                      sim::Schedule& out) const override;
 
  private:
-  /// Runs over sim::CompiledProblem: task-indexed SoA ready/EFT rows and
-  /// arena-backed PV reduction trees, bit-identical to core::ReferenceHdlts
-  /// (tests/incremental_equiv_test.cpp). Dispatches to run_compiled_impl on
-  /// whether a trace sink is attached.
+  /// Runs over sim::CompiledProblem through core::ItqEngine, bit-identical
+  /// to core::ReferenceHdlts (tests/incremental_equiv_test.cpp). Dispatches
+  /// to run_compiled_impl on whether a trace sink is attached.
   void run_compiled(const sim::CompiledProblem& problem,
                     sim::Schedule& schedule) const;
   /// The hot loop, templated on a compile-time sink policy (obs::NullSink /

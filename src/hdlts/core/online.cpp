@@ -1,12 +1,10 @@
 #include "hdlts/core/online.hpp"
 
 #include <algorithm>
-#include <limits>
 
+#include "hdlts/core/itq_engine.hpp"
 #include "hdlts/obs/metrics.hpp"
 #include "hdlts/obs/trace.hpp"
-#include "hdlts/simd/kernels.hpp"
-#include "hdlts/util/reduction_tree.hpp"
 
 namespace hdlts::core {
 
@@ -313,22 +311,20 @@ OnlineResult run_online_legacy(const sim::Workload& workload,
 
 // Compiled fast path. Same algorithm as run_online_legacy, but every phase
 // runs against the workload's single frozen sim::CompiledProblem instead of
-// a freshly compiled per-phase sim::Problem: processor death is an
-// alive-column mask, the per-phase schedule is a recycled reset + replay of
-// the committed executions, ITQ state lives in slot-recycled arena-backed
-// SoA rows (the hdlts.cpp compiled-loop layout), EFT columns are refreshed
-// incrementally from the Schedule change log, and processor/task selection
-// go through simd::active()'s argmin_masked / argmax_key kernels.
+// a freshly compiled per-phase sim::Problem: the per-phase schedule is a
+// recycled reset + replay of the committed executions, and each phase
+// runs core::ItqEngine with the alive columns live and every EST floored
+// at the phase start.
 //
 // Bit-identity with the legacy path (tests/dst_test.cpp, online_test.cpp)
 // rests on three facts:
 //   * Schedule::ready_time / earliest_start read only placements, never
-//     processor liveness, so the frozen view plus a mask reproduces the
-//     per-phase rebuilt problem exactly;
+//     processor liveness, so the frozen view plus a live-column mask
+//     reproduces the per-phase rebuilt problem exactly;
 //   * a cached EFT cell only goes stale when its processor's timeline
 //     changes, which procs_changed_since reports exactly — so the cached
 //     row always equals the legacy full recompute;
-//   * PV reduction trees use the *compacted* alive columns as leaves
+//   * the engine's PV trees pack the alive columns as leaves
 //     (base_for(#alive)), the same tree shape penalty_value builds over the
 //     legacy compacted row — identity-padding dead columns instead would
 //     change the pairwise summation order and the bits.
@@ -338,50 +334,26 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
   const sim::CompiledProblem& cp = problem.compiled();
   util::ScratchArena& arena = arena_;
   arena.reset();
-  const simd::Dispatch& simd_k = simd::active();
 
   const std::size_t n = cp.num_tasks();
   const auto procs = cp.procs();  // initial alive list = the column space
   const std::size_t np = procs.size();
-  const PvKind kind = options_.pv;
-  const auto op_a = pv_op_a(kind);
-  const auto op_b = pv_op_b(kind);
-  const double id_a = util::tree_ops::identity(op_a);
-  const double id_b = util::tree_ops::identity(op_b);
-  // Trees are stored at the full-width stride; each phase uses only the
-  // prefix for its compacted alive-leaf tree.
-  const std::size_t tree_cap =
-      2 * util::tree_ops::base_for(np > 0 ? np : 1);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
 
   if (sink != nullptr) sink->on_begin({"online-hdlts", n, cp.num_procs()});
 
-  // Column-space state.
-  const auto alive = arena.alloc<unsigned char>(np);
-  const auto leaf_of = arena.alloc<std::size_t>(np);     // column -> leaf
-  const auto alive_cols = arena.alloc<std::size_t>(np);  // leaf -> column
-  // Task-space state.
+  sim::Schedule& schedule = schedule_;
+  ItqEngine itq(arena, cp, schedule, options_.pv,
+                options_.dynamic_priorities ? ItqRank::kDynamicPv
+                                            : ItqRank::kFrozenPv,
+                options_.insertion);
+  const auto alive = arena.alloc<unsigned char>(np);  // by column
   const auto done = arena.alloc<unsigned char>(n);
   const auto has_primary = arena.alloc<unsigned char>(n);
   const auto pending = arena.alloc<std::size_t>(n);
-  // Slot-indexed SoA rows + trees (see hdlts.cpp run_compiled_impl).
-  const auto ready = arena.alloc<double>(n * np);
-  const auto eft = arena.alloc<double>(n * np);
-  const auto tree_a = arena.alloc<double>(n * tree_cap);
-  const auto tree_b = arena.alloc<double>(n * tree_cap);
-  const auto itq_task = arena.alloc<graph::TaskId>(n);
-  const auto itq_slot = arena.alloc<std::uint32_t>(n);
-  const auto itq_pv = arena.alloc<double>(n);
-  const auto free_slots = arena.alloc<std::uint32_t>(n);
-  const auto fresh_q = arena.alloc<std::size_t>(n);
-  const auto dirty = arena.alloc<std::size_t>(np);
-  const auto dirty_seen = arena.alloc<unsigned char>(np);
   const auto plan = arena.alloc<ProcFailure>(failures.size());
 
   std::fill(alive.begin(), alive.end(), static_cast<unsigned char>(1));
   std::fill(done.begin(), done.end(), static_cast<unsigned char>(0));
-  std::fill(dirty_seen.begin(), dirty_seen.end(),
-            static_cast<unsigned char>(0));
   std::copy(failures.begin(), failures.end(), plan.begin());
   std::sort(plan.begin(), plan.end(),
             [](const ProcFailure& a, const ProcFailure& b) {
@@ -396,7 +368,6 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
   out.completed = false;
   out.lost_executions = 0;
   committed_.clear();
-  sim::Schedule& schedule = schedule_;
 
   const auto entries = cp.entry_tasks();
   const bool unique_entry = entries.size() == 1;
@@ -405,123 +376,8 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
 
   // One HDLTS pass over the not-yet-done tasks (legacy run_phase, on the
   // compiled substrate). Appends new executions to fresh_.
-  auto run_phase_compiled = [&]() {
-    // Compact this phase's alive columns into reduction-tree leaves.
-    std::size_t n_alive = 0;
-    for (std::size_t ci = 0; ci < np; ++ci) {
-      if (alive[ci] != 0) {
-        leaf_of[ci] = n_alive;
-        alive_cols[n_alive] = ci;
-        ++n_alive;
-      } else {
-        leaf_of[ci] = sim::CompiledProblem::kNoColumn;
-      }
-    }
-    const std::size_t base = util::tree_ops::base_for(n_alive);
-    const bool cold_phase = cold;
-
-    std::size_t itq_size = 0;
-    std::size_t free_size = 0;
-    std::uint32_t next_slot = 0;
-    std::size_t fresh_size = 0;
-
-    auto eft_of = [&](graph::TaskId v, std::uint32_t slot, std::size_t ci) {
-      const platform::ProcId p = procs[ci];
-      const double duration = cp.exec_time(v, p);
-      const double rdy = std::max(ready[slot * np + ci], phase_start);
-      const double est =
-          schedule.earliest_start(p, rdy, duration, options_.insertion);
-      return est + duration;
-    };
-    auto enqueue_ready = [&](graph::TaskId v) {
-      const std::uint32_t slot =
-          free_size > 0 ? free_slots[--free_size] : next_slot++;
-      itq_task[itq_size] = v;
-      itq_slot[itq_size] = slot;
-      fresh_q[fresh_size++] = itq_size;
-      ++itq_size;
-    };
-    auto fill_entry = [&](std::size_t qi) {
-      const graph::TaskId v = itq_task[qi];
-      const std::uint32_t slot = itq_slot[qi];
-      const auto r = ready.subspan(slot * np, np);
-      const auto e = eft.subspan(slot * np, np);
-      for (std::size_t ci = 0; ci < np; ++ci) {
-        if (alive[ci] != 0) {
-          r[ci] = schedule.ready_time(cp, v, procs[ci]);
-          e[ci] = eft_of(v, slot, ci);
-        } else {
-          // Dead columns stay inert: +inf never wins the masked argmin and
-          // the value is excluded from the compacted tree leaves anyway.
-          r[ci] = 0.0;
-          e[ci] = kInf;
-        }
-      }
-      double* const ta = tree_a.data() + slot * tree_cap;
-      double* const tb = tree_b.data() + slot * tree_cap;
-      for (std::size_t li = 0; li < n_alive; ++li) {
-        ta[base + li] = e[alive_cols[li]];
-      }
-      if (kind == PvKind::kRange) {
-        std::copy(ta + base, ta + base + n_alive, tb + base);
-      } else {
-        simd_k.square(ta + base, tb + base, n_alive);
-      }
-      for (std::size_t li = n_alive; li < base; ++li) {
-        ta[base + li] = id_a;
-        tb[base + li] = id_b;
-      }
-      simd_k.combine_up(op_a, ta, base);
-      simd_k.combine_up(op_b, tb, base);
-      itq_pv[qi] = pv_from_roots(kind, n_alive, ta[1], tb[1]);
-    };
-    auto fill_fresh = [&]() {
-      for (std::size_t i = 0; i < fresh_size; ++i) fill_entry(fresh_q[i]);
-      fresh_size = 0;
-    };
-
-    auto refresh_dirty_columns = [&](std::uint64_t mark) {
-      std::size_t dirty_size = 0;
-      for (const platform::ProcId p : schedule.procs_changed_since(mark)) {
-        const std::size_t ci = cp.column_of(p);
-        HDLTS_EXPECTS(ci != sim::CompiledProblem::kNoColumn);
-        if (dirty_seen[ci] == 0) {
-          dirty_seen[ci] = 1;
-          dirty[dirty_size++] = ci;
-        }
-      }
-      for (std::size_t di = 0; di < dirty_size; ++di) dirty_seen[dirty[di]] = 0;
-      for (std::size_t i = 0; i < itq_size; ++i) {
-        const graph::TaskId v = itq_task[i];
-        const std::uint32_t slot = itq_slot[i];
-        const auto e = eft.subspan(slot * np, np);
-        bool changed = false;
-        for (std::size_t di = 0; di < dirty_size; ++di) {
-          const std::size_t ci = dirty[di];
-          const double f = eft_of(v, slot, ci);
-          if (f != e[ci]) {
-            e[ci] = f;
-            // The row feeds processor selection in both modes; the PV trees
-            // only matter under dynamic priorities (static mode keeps the
-            // frozen itq_pv value, exactly like the legacy frozen_pv).
-            if (options_.dynamic_priorities) {
-              const std::size_t li = leaf_of[ci];
-              util::tree_ops::update(
-                  op_a, tree_a.subspan(slot * tree_cap, tree_cap), base, li, f);
-              util::tree_ops::update(
-                  op_b, tree_b.subspan(slot * tree_cap, tree_cap), base, li,
-                  pv_leaf_b(kind, f));
-              changed = true;
-            }
-          }
-        }
-        if (changed) {
-          itq_pv[i] = pv_from_roots(kind, n_alive, tree_a[slot * tree_cap + 1],
-                                    tree_b[slot * tree_cap + 1]);
-        }
-      }
-    };
-
+  auto run_phase = [&]() {
+    itq.restart(alive);
     // Parents not yet done gate each task; the initial ready set is pushed
     // in ascending task id, exactly like the legacy one-at-a-time scan.
     for (graph::TaskId v = 0; v < n; ++v) {
@@ -531,34 +387,18 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
       }
     }
     for (graph::TaskId v = 0; v < n; ++v) {
-      if (done[v] == 0 && pending[v] == 0) enqueue_ready(v);
+      if (done[v] == 0 && pending[v] == 0) itq.push(v, phase_start);
     }
-    fill_fresh();
 
-    while (itq_size > 0) {
-      // Highest PV wins; ties go to the lower task id (order-independent,
-      // so the swap-remove compaction below cannot change picks).
-      const std::size_t pick =
-          simd_k.argmax_key(itq_pv.data(), itq_task.data(), itq_size);
-      const graph::TaskId chosen = itq_task[pick];
-      const std::uint32_t slot = itq_slot[pick];
-
-      // Min-EFT processor among the *surviving* columns: the masked argmin
-      // over the full-width row picks the same column the legacy scan finds
-      // on its compacted row (relative order of alive columns is preserved).
-      const auto row = eft.subspan(slot * np, np);
-      const std::size_t best = simd_k.argmin_masked(row.data(), alive.data(),
-                                                    np);
+    while (!itq.empty()) {
+      const std::size_t pick = itq.pick();
+      const graph::TaskId chosen = itq.task(pick);
+      const auto row = itq.row(pick);
+      const std::size_t best = itq.min_eft_column(row);
       const platform::ProcId proc = procs[best];
       const double finish = row[best];
       const double start = finish - cp.exec_time(chosen, proc);
-
-      const std::size_t last = itq_size - 1;
-      itq_task[pick] = itq_task[last];
-      itq_slot[pick] = itq_slot[last];
-      itq_pv[pick] = itq_pv[last];
-      itq_size = last;
-      free_slots[free_size++] = slot;
+      itq.remove(pick);
 
       const std::uint64_t mark = schedule.state_version();
       schedule.place(chosen, proc, start, finish);
@@ -567,7 +407,7 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
       // Entry duplication only applies on the cold start (all processors
       // empty); after a failure the machines are busy and Algorithm 1's
       // "duplicate from t = 0" premise no longer holds.
-      if (cold_phase && unique_entry && chosen == entries[0] &&
+      if (cold && unique_entry && chosen == entries[0] &&
           options_.duplication != DuplicationRule::kOff &&
           cp.out_degree(chosen) > 0) {
         const auto children = cp.children(chosen);
@@ -593,13 +433,12 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
         }
       }
 
-      refresh_dirty_columns(mark);
+      itq.refresh(mark);
       for (const graph::Adjacent& c : cp.children(chosen)) {
         if (--pending[c.task] == 0 && done[c.task] == 0) {
-          enqueue_ready(c.task);
+          itq.push(c.task, phase_start);
         }
       }
-      fill_fresh();
     }
   };
 
@@ -633,7 +472,7 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
       }
 
       if (sink != nullptr) sink->on_note("online.phase_start", phase_start);
-      run_phase_compiled();
+      run_phase();
       cold = false;
 
       if (plan_cursor == plan.size()) {

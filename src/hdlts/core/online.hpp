@@ -22,10 +22,10 @@
 //
 // Two implementations produce bit-identical results (tests/dst_test.cpp,
 // tests/online_test.cpp):
-//   * the compiled path (OnlineHdlts, behind run_online) runs
-//     every phase against the workload's frozen sim::CompiledProblem with
-//     alive-processor column masking, arena-backed SoA ready/EFT rows,
-//     incremental dirty-column EFT refresh, and simd::active() kernels —
+//   * the compiled path (OnlineHdlts, behind run_online) runs every phase
+//     against the workload's frozen sim::CompiledProblem through
+//     core::ItqEngine, the ITQ static HDLTS runs on, with the surviving
+//     processors as live columns and every EST floored at the phase start —
 //     after warm-up a run performs zero heap allocations (run_into);
 //   * the legacy path (run_online_legacy) rebuilds a sim::Problem per phase
 //     and recomputes every ITQ row per round — the reference the compiled

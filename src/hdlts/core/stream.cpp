@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
+#include "hdlts/core/itq_engine.hpp"
 #include "hdlts/obs/metrics.hpp"
 #include "hdlts/obs/trace.hpp"
-#include "hdlts/simd/kernels.hpp"
-#include "hdlts/util/reduction_tree.hpp"
 
 namespace hdlts::core {
 
@@ -332,199 +331,38 @@ const sim::Workload& StreamHdlts::combined() const {
 }
 
 // Compiled fast path. Same algorithm as run_stream_legacy, but the drain
-// loop runs against the frozen combined sim::CompiledProblem with the
-// hdlts.cpp compiled-loop layout: slot-recycled arena-backed SoA ready/EFT
-// rows, PV reduction trees maintained incrementally from the Schedule
-// change log (a placement only moves its own processor's availability, so
-// only that EFT column can change), and simd::active() argmin/argmax_key
-// kernels for CPU and task selection. The FIFO policy keeps a contiguous
-// fifo-order array instead (unique values, scanned for the minimum), and
-// skips all PV work exactly like the legacy path does.
+// loop runs core::ItqEngine against the frozen combined
+// sim::CompiledProblem, with every column live and each task's EST floored
+// at its workflow's arrival. The FIFO policy ranks by push order and keeps
+// no PV state, exactly like the legacy path.
 void StreamHdlts::run_into(StreamResult& out, obs::DecisionTrace* sink) {
   HDLTS_EXPECTS(problem_.has_value());
   const detail::FrozenStream& frozen = *frozen_;
   const sim::CompiledProblem& cp = problem_->compiled();
   const auto procs = cp.procs();
-  const std::size_t np = procs.size();
   const std::size_t total = cp.num_tasks();
   const std::size_t num_workflows = frozen.arrival.size();
   const bool use_pv = options_.policy == StreamPolicy::kHdltsPv;
-  const PvKind kind = options_.pv;
-  const auto op_a = pv_op_a(kind);
-  const auto op_b = pv_op_b(kind);
-  const double id_a = util::tree_ops::identity(op_a);
-  const double id_b = util::tree_ops::identity(op_b);
-  const std::size_t base = util::tree_ops::base_for(np > 0 ? np : 1);
-  const std::size_t tree_len = 2 * base;
 
   util::ScratchArena& arena = arena_;
   arena.reset();
-  const simd::Dispatch& simd_k = simd::active();
 
   if (sink != nullptr) {
     sink->on_begin({use_pv ? "stream-hdlts" : "stream-fifo", total,
                     cp.num_procs()});
   }
 
-  const auto pending = arena.alloc<std::size_t>(total);
-  const auto released = arena.alloc<unsigned char>(total);
-  const auto ready = arena.alloc<double>(total * np);
-  const auto eft = arena.alloc<double>(total * np);
-  // PV state only when the policy ranks by PV; the arena spans are carved
-  // regardless (cheap) but trees are only written on the PV path.
-  const auto tree_a = arena.alloc<double>(use_pv ? total * tree_len : 0);
-  const auto tree_b = arena.alloc<double>(use_pv ? total * tree_len : 0);
-  const auto itq_task = arena.alloc<graph::TaskId>(total);
-  const auto itq_slot = arena.alloc<std::uint32_t>(total);
-  const auto itq_pv = arena.alloc<double>(total);
-  const auto itq_fifo = arena.alloc<std::size_t>(total);
-  const auto free_slots = arena.alloc<std::uint32_t>(total);
-  const auto fresh_q = arena.alloc<std::size_t>(total);
-  const auto dirty = arena.alloc<std::size_t>(np);
-  const auto dirty_seen = arena.alloc<unsigned char>(np);
-
-  std::fill(released.begin(), released.end(), static_cast<unsigned char>(0));
-  std::fill(dirty_seen.begin(), dirty_seen.end(),
-            static_cast<unsigned char>(0));
-
   schedule_.reset(total, cp.num_procs());
   sim::Schedule& schedule = schedule_;
   apply_busy(frozen.busy, schedule);
-  std::size_t itq_size = 0;
-  std::size_t free_size = 0;
-  std::uint32_t next_slot = 0;
-  std::size_t fresh_size = 0;
-  std::size_t fifo_counter = 0;
-
-  auto eft_of = [&](graph::TaskId v, std::uint32_t slot, std::size_t pi) {
-    const platform::ProcId p = procs[pi];
-    const double duration = cp.exec_time(v, p);
-    const double rdy = std::max(ready[slot * np + pi], frozen.floor[v]);
-    const double est = std::max(rdy, schedule.proc_available(p));
-    return est + duration;
-  };
-  auto enqueue_ready = [&](graph::TaskId v) {
-    const std::uint32_t slot =
-        free_size > 0 ? free_slots[--free_size] : next_slot++;
-    itq_task[itq_size] = v;
-    itq_slot[itq_size] = slot;
-    itq_pv[itq_size] = 0.0;  // overwritten on the PV path; keeps the
-                             // swap-remove below off uninitialized memory
-    itq_fifo[itq_size] = fifo_counter++;
-    fresh_q[fresh_size++] = itq_size;
-    ++itq_size;
-  };
-  auto fill_entry = [&](std::size_t qi) {
-    const graph::TaskId v = itq_task[qi];
-    const std::uint32_t slot = itq_slot[qi];
-    const auto r = ready.subspan(slot * np, np);
-    const auto e = eft.subspan(slot * np, np);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      r[pi] = schedule.ready_time(cp, v, procs[pi]);
-      e[pi] = eft_of(v, slot, pi);
-    }
-    if (!use_pv) return;
-    double* const ta = tree_a.data() + slot * tree_len;
-    double* const tb = tree_b.data() + slot * tree_len;
-    std::copy(e.begin(), e.end(), ta + base);
-    if (kind == PvKind::kRange) {
-      std::copy(e.begin(), e.end(), tb + base);
-    } else {
-      simd_k.square(e.data(), tb + base, np);
-    }
-    for (std::size_t pi = np; pi < base; ++pi) {
-      ta[base + pi] = id_a;
-      tb[base + pi] = id_b;
-    }
-    simd_k.combine_up(op_a, ta, base);
-    simd_k.combine_up(op_b, tb, base);
-    itq_pv[qi] = pv_from_roots(kind, np, ta[1], tb[1]);
-  };
-  auto fill_fresh = [&]() {
-    for (std::size_t i = 0; i < fresh_size; ++i) fill_entry(fresh_q[i]);
-    fresh_size = 0;
-  };
-
-  auto refresh_dirty_columns = [&](std::uint64_t mark) {
-    std::size_t dirty_size = 0;
-    for (const platform::ProcId p : schedule.procs_changed_since(mark)) {
-      const std::size_t pi = cp.column_of(p);
-      HDLTS_EXPECTS(pi != sim::CompiledProblem::kNoColumn);
-      if (dirty_seen[pi] == 0) {
-        dirty_seen[pi] = 1;
-        dirty[dirty_size++] = pi;
-      }
-    }
-    for (std::size_t di = 0; di < dirty_size; ++di) dirty_seen[dirty[di]] = 0;
-    for (std::size_t i = 0; i < itq_size; ++i) {
-      const graph::TaskId v = itq_task[i];
-      const std::uint32_t slot = itq_slot[i];
-      const auto e = eft.subspan(slot * np, np);
-      bool changed = false;
-      for (std::size_t di = 0; di < dirty_size; ++di) {
-        const std::size_t pi = dirty[di];
-        const double f = eft_of(v, slot, pi);
-        if (f != e[pi]) {
-          e[pi] = f;
-          if (use_pv) {
-            util::tree_ops::update(
-                op_a, tree_a.subspan(slot * tree_len, tree_len), base, pi, f);
-            util::tree_ops::update(
-                op_b, tree_b.subspan(slot * tree_len, tree_len), base, pi,
-                pv_leaf_b(kind, f));
-            changed = true;
-          }
-        }
-      }
-      if (changed) {
-        itq_pv[i] = pv_from_roots(kind, np, tree_a[slot * tree_len + 1],
-                                  tree_b[slot * tree_len + 1]);
-      }
-    }
-  };
-
-  auto drain_itq = [&]() {
-    while (itq_size > 0) {
-      std::size_t pick = 0;
-      if (use_pv) {
-        // Highest PV wins; ties to the lower task id (order-independent).
-        pick = simd_k.argmax_key(itq_pv.data(), itq_task.data(), itq_size);
-      } else {
-        // FIFO orders are unique, so the minimum is order-independent too.
-        for (std::size_t i = 1; i < itq_size; ++i) {
-          if (itq_fifo[i] < itq_fifo[pick]) pick = i;
-        }
-      }
-      const graph::TaskId chosen = itq_task[pick];
-      const std::uint32_t slot = itq_slot[pick];
-      const auto row = eft.subspan(slot * np, np);
-      const std::size_t best = simd_k.argmin(row.data(), np);
-      const platform::ProcId proc = procs[best];
-      const double best_eft = row[best];
-      const double start = best_eft - cp.exec_time(chosen, proc);
-
-      const std::size_t last = itq_size - 1;
-      itq_task[pick] = itq_task[last];
-      itq_slot[pick] = itq_slot[last];
-      itq_pv[pick] = itq_pv[last];
-      itq_fifo[pick] = itq_fifo[last];
-      itq_size = last;
-      free_slots[free_size++] = slot;
-
-      const std::uint64_t mark = schedule.state_version();
-      schedule.place(chosen, proc, start, best_eft);
-      if (sink != nullptr) {
-        sink->on_placement({chosen, proc, start, best_eft, false});
-      }
-      refresh_dirty_columns(mark);
-      for (const graph::Adjacent& c : cp.children(chosen)) {
-        if (released[c.task] != 0 && --pending[c.task] == 0) {
-          enqueue_ready(c.task);
-        }
-      }
-      fill_fresh();
-    }
-  };
+  // The stream never inserts into idle gaps (the legacy EST is
+  // max(ready, proc_available)).
+  ItqEngine itq(arena, cp, schedule, options_.pv,
+                use_pv ? ItqRank::kDynamicPv : ItqRank::kArrivalOrder,
+                /*insertion=*/false);
+  const auto pending = arena.alloc<std::size_t>(total);
+  const auto released = arena.alloc<unsigned char>(total);
+  std::fill(released.begin(), released.end(), static_cast<unsigned char>(0));
 
   for (const std::size_t w : frozen.phase_order) {
     if (sink != nullptr) sink->on_note("stream.arrival", frozen.arrival[w]);
@@ -536,10 +374,30 @@ void StreamHdlts::run_into(StreamResult& out, obs::DecisionTrace* sink) {
       for (const graph::Adjacent& p : cp.parents(v)) {
         if (!schedule.is_placed(p.task)) ++pending[v];
       }
-      if (pending[v] == 0) enqueue_ready(v);
+      if (pending[v] == 0) itq.push(v, frozen.floor[v]);
     }
-    fill_fresh();
-    drain_itq();
+    while (!itq.empty()) {
+      const std::size_t pick = itq.pick();
+      const graph::TaskId chosen = itq.task(pick);
+      const auto row = itq.row(pick);
+      const std::size_t best = itq.min_eft_column(row);
+      const platform::ProcId proc = procs[best];
+      const double best_eft = row[best];
+      const double start = best_eft - cp.exec_time(chosen, proc);
+      itq.remove(pick);
+
+      const std::uint64_t mark = schedule.state_version();
+      schedule.place(chosen, proc, start, best_eft);
+      if (sink != nullptr) {
+        sink->on_placement({chosen, proc, start, best_eft, false});
+      }
+      itq.refresh(mark);
+      for (const graph::Adjacent& c : cp.children(chosen)) {
+        if (released[c.task] != 0 && --pending[c.task] == 0) {
+          itq.push(c.task, frozen.floor[c.task]);
+        }
+      }
+    }
   }
 
   HDLTS_ENSURES(schedule.num_placed() == total);

@@ -14,10 +14,10 @@
 // tests/dst_test.cpp):
 //   * the compiled path (StreamHdlts, behind run_stream) merges
 //     the arrivals once into a combined CSR sim::CompiledProblem (the
-//     combiner reserves exact task/edge counts) and schedules with
-//     arena-backed SoA ready/EFT rows, incremental dirty-column refresh,
-//     and simd::active() kernels; once frozen, repeated run_into() calls
-//     perform zero heap allocations;
+//     combiner reserves exact task/edge counts) and schedules it through
+//     core::ItqEngine, the ITQ static HDLTS runs on, with each task's EST
+//     floored at its workflow's arrival; once frozen, repeated run_into()
+//     calls perform zero heap allocations;
 //   * the legacy path (run_stream_legacy) recomputes every ITQ row per
 //     round — the reference the compiled path is tested against.
 #pragma once

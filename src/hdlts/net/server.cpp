@@ -334,9 +334,8 @@ void Server::loop() {
 void Server::accept_sessions_locked() {
   for (;;) {
     if (sessions_.size() >= options_.max_sessions) return;
-    Fd fd(::accept(listener_.get(), nullptr, nullptr));
+    Fd fd = accept_tcp(listener_.get());
     if (!fd.valid()) return;  // EAGAIN or transient error: next poll round
-    set_nonblocking(fd.get());
     const std::uint64_t id = next_session_++;
     auto session = std::make_unique<Session>(id, std::move(fd),
                                              options_.limits.max_frame_bytes);

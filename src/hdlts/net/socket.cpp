@@ -14,6 +14,16 @@
 
 namespace hdlts::net {
 
+namespace {
+
+// Best-effort: the protocol is request/response lines, Nagle only hurts.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+}  // namespace
+
 void Fd::reset() {
   if (fd_ >= 0) {
     int rc;
@@ -79,9 +89,7 @@ Fd connect_tcp(std::uint16_t port) {
   if (rc != 0) {
     throw Error(errno_message("connect 127.0.0.1:" + std::to_string(port)));
   }
-  const int one = 1;
-  // Best-effort: the protocol is request/response lines, Nagle only hurts.
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  set_nodelay(fd.get());
   return fd;
 }
 
@@ -90,6 +98,14 @@ void set_nonblocking(int fd) {
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     throw Error(errno_message("fcntl(O_NONBLOCK)"));
   }
+}
+
+Fd accept_tcp(int listener) {
+  Fd fd(::accept(listener, nullptr, nullptr));
+  if (!fd.valid()) return fd;
+  set_nonblocking(fd.get());
+  set_nodelay(fd.get());
+  return fd;
 }
 
 bool send_all(int fd, std::string_view bytes) {

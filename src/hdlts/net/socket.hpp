@@ -56,6 +56,13 @@ Fd connect_tcp(std::uint16_t port);
 
 void set_nonblocking(int fd);
 
+/// Accepts one pending connection on `listener` and makes it ready for the
+/// event loop: non-blocking, with Nagle off (TCP_NODELAY). Without it, the
+/// responses after the first of a pipelined burst wait for the client's
+/// delayed ACK. Returns an invalid Fd when no connection is pending
+/// (EAGAIN on a non-blocking listener) or accept failed transiently.
+Fd accept_tcp(int listener);
+
 /// Sends the whole buffer (blocking fd), retrying on EINTR and suppressing
 /// SIGPIPE; false when the peer closed or an error occurred.
 bool send_all(int fd, std::string_view bytes);

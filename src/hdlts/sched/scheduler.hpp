@@ -12,10 +12,6 @@ namespace hdlts::obs {
 class DecisionTrace;
 }
 
-namespace hdlts::util {
-class ThreadPool;
-}
-
 namespace hdlts::sched {
 
 class Scheduler {
@@ -49,16 +45,6 @@ class Scheduler {
   obs::DecisionTrace* trace_sink() const { return trace_sink_; }
   void set_trace_sink(obs::DecisionTrace* sink) { trace_sink_ = sink; }
 
-  /// Optional borrowed worker pool for intra-problem parallelism (null by
-  /// default: fully serial). Schedulers that support it (core::Hdlts) fan
-  /// data-parallel phases out via util::ThreadPool::run_team above a size
-  /// threshold; the schedule stays bit-identical to the serial path.
-  /// The pool is borrowed — the caller keeps ownership and must keep it
-  /// alive across schedule calls — and one pool must not be shared by
-  /// schedulers running concurrently with each other.
-  util::ThreadPool* thread_pool() const { return thread_pool_; }
-  void set_thread_pool(util::ThreadPool* pool) { thread_pool_ = pool; }
-
  protected:
   /// Per-scheduler scratch memory, rewound at the top of every
   /// schedule()/schedule_into() call. Mutable for the same reason a memo
@@ -69,7 +55,6 @@ class Scheduler {
 
  private:
   obs::DecisionTrace* trace_sink_ = nullptr;
-  util::ThreadPool* thread_pool_ = nullptr;
   mutable util::ScratchArena scratch_;
 };
 

@@ -37,88 +37,16 @@ void ThreadPool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::run_team(std::size_t count, std::size_t chunk,
-                          FunctionRef<void(std::size_t, std::size_t)> body) {
-  if (count == 0) return;
-  if (chunk == 0) chunk = 1;
-  {
-    std::unique_lock lock(mutex_);
-    // Serialize leaders and wait out stale joiners from the previous team:
-    // the broadcast slot must not be overwritten while any worker could
-    // still read it.
-    team_exit_.wait(lock,
-                    [this] { return !team_leader_ && team_active_ == 0; });
-    team_leader_ = true;
-    team_body_ = &body;
-    team_count_ = count;
-    team_chunk_ = chunk;
-    team_next_.store(0, std::memory_order_relaxed);
-    team_done_.store(0, std::memory_order_relaxed);
-    ++team_epoch_;
-  }
-  work_available_.notify_all();
-  team_claim_chunks();  // the caller is a team member too
-  {
-    std::unique_lock lock(mutex_);
-    // All indices processed AND no worker still inside the claim loop (a
-    // worker past its last fetch_add may otherwise still be running body).
-    team_exit_.wait(lock, [this] {
-      return team_done_.load(std::memory_order_acquire) == team_count_ &&
-             team_active_ == 0;
-    });
-    team_leader_ = false;
-  }
-  team_exit_.notify_all();
-}
-
-void ThreadPool::team_claim_chunks() {
-  for (;;) {
-    const std::size_t begin =
-        team_next_.fetch_add(team_chunk_, std::memory_order_relaxed);
-    if (begin >= team_count_) return;  // never dereferences a stale body
-    const std::size_t end = std::min(begin + team_chunk_, team_count_);
-    (*team_body_)(begin, end);
-    if (team_done_.fetch_add(end - begin, std::memory_order_acq_rel) +
-            (end - begin) ==
-        team_count_) {
-      { std::lock_guard lock(mutex_); }
-      team_exit_.notify_all();
-    }
-  }
-}
-
 void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
   for (;;) {
     std::function<void()> task;
-    bool team_member = false;
     {
       std::unique_lock lock(mutex_);
-      work_available_.wait(lock, [&] {
-        return stopping_ || !queue_.empty() || team_epoch_ != seen_epoch;
-      });
-      if (team_epoch_ != seen_epoch) {
-        // Join the announced team first — its leader is blocked on us.
-        // Joining a team that already finished is harmless: the claim loop
-        // sees an exhausted cursor and exits without touching the body.
-        seen_epoch = team_epoch_;
-        ++team_active_;
-        team_member = true;
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else {
-        return;  // stopping_ and drained
-      }
-    }
-    if (team_member) {
-      team_claim_chunks();
-      {
-        std::lock_guard lock(mutex_);
-        --team_active_;
-      }
-      team_exit_.notify_all();
-      continue;
+      work_available_.wait(lock,
+                           [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping_ and drained
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     task();
     {

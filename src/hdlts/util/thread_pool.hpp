@@ -1,31 +1,19 @@
-// A small fixed-size thread pool with a parallel_for helper and an
-// allocation-free cooperative "team" primitive.
+// A small fixed-size thread pool with parallel_for helpers.
 //
 // The experiment harness runs thousands of independent (workload, scheduler,
 // repetition) cells; each cell derives its RNG from its index, so results are
-// identical whether the pool has 1 or 64 workers.
-//
-// run_team exists for the intra-problem parallel EFT refresh in
-// core/hdlts.cpp: submit() converts the callable to a std::function (heap)
-// and pushes a deque node, which would break the compiled path's
-// zero-steady-state-allocation contract. A team instead broadcasts one
-// non-owning FunctionRef to every idle worker; chunks are claimed from an
-// atomic cursor and the caller participates, so the call allocates nothing
-// and completes even when every worker is busy with queued tasks
-// (docs/CONCURRENCY.md).
+// identical whether the pool has 1 or 64 workers. Parallelism is across
+// problems only (svc::BatchEngine, metrics::run_repetitions): a single
+// schedule call always runs on its caller's thread (docs/CONCURRENCY.md).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
 #include <thread>
 #include <vector>
-
-#include "hdlts/util/function_ref.hpp"
 
 namespace hdlts::util {
 
@@ -46,41 +34,16 @@ class ThreadPool {
   /// Blocks until every submitted task has completed.
   void wait_idle();
 
-  /// Runs body(begin, end) cooperatively over disjoint chunks covering
-  /// [0, count), on the calling thread plus every worker that is idle when
-  /// the team is announced, and blocks until all `count` indices are done.
-  /// Zero heap allocations; `body` must not throw and must be safe to call
-  /// concurrently on disjoint ranges. Must be called from outside the pool
-  /// (never from a worker); concurrent callers are serialized.
-  void run_team(std::size_t count, std::size_t chunk,
-                FunctionRef<void(std::size_t, std::size_t)> body);
-
  private:
   void worker_loop();
-  /// Claims and runs team chunks until the cursor is exhausted.
-  void team_claim_chunks();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
-  std::condition_variable team_exit_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
-
-  // Team broadcast slot. The plain fields are written by the leader under
-  // mutex_ (together with the epoch bump) and read by workers only after
-  // observing the new epoch under the same mutex; the atomics coordinate
-  // chunk claiming and completion without the lock.
-  const FunctionRef<void(std::size_t, std::size_t)>* team_body_ = nullptr;
-  std::size_t team_count_ = 0;
-  std::size_t team_chunk_ = 1;
-  std::uint64_t team_epoch_ = 0;   // guarded by mutex_
-  std::size_t team_active_ = 0;    // workers inside a claim loop; mutex_
-  bool team_leader_ = false;       // a run_team call is in progress; mutex_
-  std::atomic<std::size_t> team_next_{0};
-  std::atomic<std::size_t> team_done_{0};
 };
 
 /// Runs body(i) for i in [0, count) across the pool, blocking until done.

@@ -29,7 +29,6 @@
 #include "hdlts/sched/registry.hpp"
 #include "hdlts/svc/batch_engine.hpp"
 #include "hdlts/util/arena.hpp"
-#include "hdlts/util/thread_pool.hpp"
 #include "hdlts/workload/random_dag.hpp"
 
 namespace hdlts {
@@ -153,23 +152,6 @@ TEST(ZeroAlloc, PortedListSchedulersSteadyState) {
     SCOPED_TRACE(name);
     expect_zero_traffic(*scheduler, problem);
   }
-}
-
-TEST(ZeroAlloc, HdltsParallelEftSteadyState) {
-  // The intra-problem parallel path must preserve the zero-allocation
-  // contract: run_team broadcasts a non-owning FunctionRef (no
-  // std::function, no queue nodes), so a steady-state call with the team
-  // fanning out on every round still performs no heap allocation on the
-  // calling thread. Workers allocate nothing either, but the interposer
-  // counters are global — hence a 1-worker pool would hide nothing; use 4.
-  const sim::Workload w = make_workload(400, 8, 7);
-  const sim::Problem problem(w);
-  util::ThreadPool pool(4);
-  core::HdltsOptions options;
-  options.parallel_min_work = 0;  // team dispatch on every round
-  core::Hdlts hdlts(options);
-  hdlts.set_thread_pool(&pool);
-  expect_zero_traffic(hdlts, problem);
 }
 
 TEST(ZeroAlloc, BatchEngineSteadyState) {

@@ -5,6 +5,7 @@
 
 #include "hdlts/check/faultplan.hpp"
 #include "hdlts/check/validate.hpp"
+#include "hdlts/core/itq_engine.hpp"
 #include "hdlts/core/online.hpp"
 #include "hdlts/simd/kernels.hpp"
 #include "hdlts/workload/classic.hpp"
@@ -232,38 +233,174 @@ void expect_online_identical(const OnlineResult& got, const OnlineResult& want,
   }
 }
 
+constexpr PvKind kPvKinds[] = {PvKind::kSampleStddev,
+                               PvKind::kPopulationStddev, PvKind::kRange};
+
 TEST(OnlineDifferential, CompiledMatchesLegacyOnEverySeededFaultPlan) {
-  // Every family x seed x seeded fault plan, with the options grid rotated
-  // the same way the DST sweep rotates it — compiled (the run_online
-  // default) must be bit-identical to the legacy reference.
+  // Every PV kind x family x seed x seeded fault plan, with the options
+  // grid rotated the same way the DST sweep rotates it — compiled (the
+  // run_online default) must be bit-identical to the legacy reference. The
+  // range kind is the only one whose packed alive-column trees reduce with
+  // min/max instead of sums.
   std::size_t pairs = 0;
-  for (int family = 0; family < 5; ++family) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const sim::Workload w = family_workload(family, seed);
-      const double clean = Hdlts().schedule(sim::Problem(w)).makespan();
-      std::size_t cell = 0;
-      for (const check::FaultPlan& plan :
-           check::make_fault_plans(3, clean, seed)) {
-        HdltsOptions options;
-        options.duplication = (cell % 3 == 2)
-                                  ? DuplicationRule::kOff
-                                  : DuplicationRule::kAnyChildBenefits;
-        options.dynamic_priorities = cell % 2 == 0;
-        options.insertion = cell % 4 == 1;
-        ++cell;
-        const OnlineResult compiled =
-            run_online(w, plan.failures, options);
-        const OnlineResult legacy =
-            run_online_legacy(w, plan.failures, options);
-        expect_online_identical(
-            compiled, legacy,
-            "family " + std::to_string(family) + " seed " +
-                std::to_string(seed) + " plan \"" + plan.description + "\"");
-        ++pairs;
+  for (const PvKind pv : kPvKinds) {
+    for (int family = 0; family < 5; ++family) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const sim::Workload w = family_workload(family, seed);
+        const double clean = Hdlts().schedule(sim::Problem(w)).makespan();
+        std::size_t cell = 0;
+        for (const check::FaultPlan& plan :
+             check::make_fault_plans(3, clean, seed)) {
+          HdltsOptions options;
+          options.pv = pv;
+          options.duplication = (cell % 3 == 2)
+                                    ? DuplicationRule::kOff
+                                    : DuplicationRule::kAnyChildBenefits;
+          options.dynamic_priorities = cell % 2 == 0;
+          options.insertion = cell % 4 == 1;
+          ++cell;
+          const OnlineResult compiled =
+              run_online(w, plan.failures, options);
+          const OnlineResult legacy =
+              run_online_legacy(w, plan.failures, options);
+          expect_online_identical(
+              compiled, legacy,
+              "pv " + std::to_string(static_cast<int>(pv)) + " family " +
+                  std::to_string(family) + " seed " + std::to_string(seed) +
+                  " plan \"" + plan.description + "\"");
+          ++pairs;
+        }
       }
     }
   }
-  EXPECT_GE(pairs, 100u);
+  EXPECT_GE(pairs, 300u);
+}
+
+TEST(OnlineDifferential, EngineKeysMatchPenaltyValueOfLiveColumns) {
+  // After a failure the engine keeps full-width EFT rows but packs the
+  // surviving columns into the PV trees. Every key must equal penalty_value
+  // of the compacted row bit for bit, when pushed and after every refresh:
+  // padding the dead columns with identities instead would re-associate the
+  // sums, which no schedule-level test above can see on three processors.
+  workload::RandomDagParams params;
+  params.num_tasks = 60;
+  params.costs.num_procs = 7;
+  const sim::Workload w = workload::random_workload(params, 11);
+  const sim::Problem problem(w);
+  const sim::CompiledProblem& cp = problem.compiled();
+  const std::size_t n = cp.num_tasks();
+  const std::size_t np = cp.num_alive();
+  ASSERT_EQ(np, 7u);
+  const std::vector<unsigned char> all_live(np, 1);
+  const std::vector<unsigned char> two_dead = {1, 0, 1, 1, 0, 1, 1};
+  for (const auto* live : {&all_live, &two_dead}) {
+    for (const PvKind pv : kPvKinds) {
+      const std::string label = "pv " + std::to_string(static_cast<int>(pv)) +
+                                (live == &all_live ? " all live" : " two dead");
+      util::ScratchArena arena;
+      sim::Schedule schedule(n, cp.num_procs());
+      ItqEngine itq(arena, cp, schedule, pv, ItqRank::kDynamicPv,
+                    /*insertion=*/false);
+      itq.restart(*live);
+      auto expect_keys_match = [&](std::size_t step) {
+        for (std::size_t i = 0; i < itq.keys().size(); ++i) {
+          const auto row = itq.row(i);
+          std::vector<double> compacted;
+          for (std::size_t ci = 0; ci < np; ++ci) {
+            if ((*live)[ci] != 0) compacted.push_back(row[ci]);
+          }
+          EXPECT_EQ(itq.keys()[i], penalty_value(pv, compacted))
+              << label << " step " << step << " entry " << i;
+        }
+      };
+      std::vector<std::size_t> pending(n);
+      for (graph::TaskId v = 0; v < n; ++v) {
+        pending[v] = cp.in_degree(v);
+        if (pending[v] == 0) itq.push(v, 0.0);
+      }
+      std::size_t step = 0;
+      expect_keys_match(step);
+      while (!itq.empty()) {
+        const std::size_t pick = itq.pick();
+        const graph::TaskId v = itq.task(pick);
+        const auto row = itq.row(pick);
+        const std::size_t best = itq.min_eft_column(row);
+        ASSERT_NE((*live)[best], 0) << label;
+        const platform::ProcId p = cp.procs()[best];
+        const double finish = row[best];
+        itq.remove(pick);
+        const std::uint64_t mark = schedule.state_version();
+        schedule.place(v, p, finish - cp.exec_time(v, p), finish);
+        itq.refresh(mark);
+        expect_keys_match(++step);
+        for (const graph::Adjacent& c : cp.children(v)) {
+          if (--pending[c.task] == 0) itq.push(c.task, 0.0);
+        }
+      }
+      EXPECT_EQ(schedule.num_placed(), n) << label;
+    }
+  }
+}
+
+TEST(OnlineDifferential, EmptyPlanMatchesStaticAcrossOptionGrid) {
+  // With no failure the online runtime is one cold phase of the static
+  // algorithm, so it must reproduce Hdlts exactly — every primary, every
+  // entry duplicate and the makespan — across every option the two share.
+  std::size_t cases = 0;
+  for (int family = 0; family < 5; ++family) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const sim::Workload w = family_workload(family, seed);
+      const sim::Problem problem(w);
+      for (const PvKind pv : kPvKinds) {
+        for (const bool dynamic : {true, false}) {
+          for (const bool insertion : {false, true}) {
+            for (const DuplicationRule duplication :
+                 {DuplicationRule::kOff, DuplicationRule::kAnyChildBenefits,
+                  DuplicationRule::kAllChildrenBenefit}) {
+              HdltsOptions options;
+              options.pv = pv;
+              options.dynamic_priorities = dynamic;
+              options.insertion = insertion;
+              options.duplication = duplication;
+              const std::string label =
+                  "family " + std::to_string(family) + " seed " +
+                  std::to_string(seed) + " pv " +
+                  std::to_string(static_cast<int>(pv)) + " dynamic " +
+                  std::to_string(dynamic) + " insertion " +
+                  std::to_string(insertion) + " duplication " +
+                  std::to_string(static_cast<int>(duplication));
+              const sim::Schedule s = Hdlts(options).schedule(problem);
+              const OnlineResult r = run_online(w, {}, options);
+              ASSERT_TRUE(r.completed) << label;
+              EXPECT_EQ(r.lost_executions, 0u) << label;
+              EXPECT_EQ(r.makespan, s.makespan()) << label;
+              std::size_t primaries = 0;
+              std::size_t duplicates = 0;
+              for (const OnlineExec& e : r.executions) {
+                if (e.duplicate) {
+                  ++duplicates;
+                  continue;
+                }
+                ++primaries;
+                const sim::Placement& pl = s.placement(e.task);
+                EXPECT_EQ(e.proc, pl.proc) << label << " task " << e.task;
+                EXPECT_EQ(e.start, pl.start) << label << " task " << e.task;
+                EXPECT_EQ(e.finish, pl.finish) << label << " task " << e.task;
+              }
+              EXPECT_EQ(primaries, problem.num_tasks()) << label;
+              std::size_t want_duplicates = 0;
+              for (graph::TaskId v = 0; v < problem.num_tasks(); ++v) {
+                want_duplicates += s.duplicates(v).size();
+              }
+              EXPECT_EQ(duplicates, want_duplicates) << label;
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 720u);
 }
 
 TEST(OnlineDifferential, SchedulerObjectReuseIsBitIdentical) {

@@ -7,7 +7,11 @@
 // CI ThreadSanitizer leg.
 #include "hdlts/net/server.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <optional>
@@ -22,6 +26,7 @@
 #include "hdlts/io/workload_io.hpp"
 #include "hdlts/net/client.hpp"
 #include "hdlts/net/protocol.hpp"
+#include "hdlts/net/socket.hpp"
 #include "hdlts/sched/registry.hpp"
 #include "hdlts/sim/problem.hpp"
 #include "hdlts/util/env.hpp"
@@ -54,6 +59,24 @@ net::GeneratorSpec generator_spec(std::size_t tasks, std::size_t cpus) {
   spec.tasks = tasks;
   spec.cpus = cpus;
   return spec;
+}
+
+TEST(ServeTest, AcceptedSocketsAreNonBlockingWithNagleOff) {
+  // The server accepts every connection through net::accept_tcp. With Nagle
+  // on, each response after the first of a pipelined burst would wait for
+  // the client's delayed ACK.
+  std::uint16_t port = 0;
+  const net::Fd listener = net::listen_tcp(0, &port);
+  const net::Fd client = net::connect_tcp(port);
+  const net::Fd accepted = net::accept_tcp(listener.get());
+  ASSERT_TRUE(accepted.valid());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  EXPECT_NE(::fcntl(accepted.get(), F_GETFL, 0) & O_NONBLOCK, 0);
 }
 
 TEST(ServeTest, PingStatsAndMalformed) {

@@ -207,6 +207,9 @@ void expect_stream_identical(const StreamResult& got, const StreamResult& want,
   }
 }
 
+constexpr PvKind kPvKinds[] = {PvKind::kSampleStddev,
+                               PvKind::kPopulationStddev, PvKind::kRange};
+
 TEST(StreamDifferential, CompiledMatchesLegacyAcrossFamiliesAndPolicies) {
   std::size_t pairs = 0;
   for (int family = 0; family < 5; ++family) {
@@ -215,22 +218,63 @@ TEST(StreamDifferential, CompiledMatchesLegacyAcrossFamiliesAndPolicies) {
       arrivals.push_back({stream_family_workload(family, seed), 0.0});
       arrivals.push_back({stream_family_workload(family, seed + 100), 12.0});
       arrivals.push_back({stream_family_workload(family, seed + 200), 40.0});
-      for (const StreamPolicy policy :
-           {StreamPolicy::kHdltsPv, StreamPolicy::kFifoEft}) {
-        StreamOptions options;
-        options.policy = policy;
-        const StreamResult compiled = run_stream(arrivals, options);
-        const StreamResult legacy = run_stream_legacy(arrivals, options);
-        expect_stream_identical(
-            compiled, legacy,
-            "family " + std::to_string(family) + " seed " +
-                std::to_string(seed) +
-                (policy == StreamPolicy::kHdltsPv ? " pv" : " fifo"));
-        ++pairs;
+      for (const PvKind pv : kPvKinds) {
+        for (const StreamPolicy policy :
+             {StreamPolicy::kHdltsPv, StreamPolicy::kFifoEft}) {
+          StreamOptions options;
+          options.policy = policy;
+          options.pv = pv;
+          const StreamResult compiled = run_stream(arrivals, options);
+          const StreamResult legacy = run_stream_legacy(arrivals, options);
+          expect_stream_identical(
+              compiled, legacy,
+              "family " + std::to_string(family) + " seed " +
+                  std::to_string(seed) + " pv " +
+                  std::to_string(static_cast<int>(pv)) +
+                  (policy == StreamPolicy::kHdltsPv ? " hdlts-pv" : " fifo"));
+          ++pairs;
+        }
       }
     }
   }
-  EXPECT_GE(pairs, 30u);
+  EXPECT_GE(pairs, 90u);
+}
+
+TEST(StreamDifferential, SingleArrivalMatchesStaticWithoutDuplication) {
+  // One workflow arriving at t = 0 on idle processors is the static
+  // problem: the stream must reproduce Hdlts without entry duplication
+  // (the stream never duplicates) exactly, for every PV kind.
+  std::size_t cases = 0;
+  for (const PvKind pv : kPvKinds) {
+    for (int family = 0; family < 5; ++family) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const sim::Workload w = stream_family_workload(family, seed);
+        std::vector<StreamArrival> arrivals;
+        arrivals.push_back({w, 0.0});
+        StreamOptions options;
+        options.pv = pv;
+        const StreamResult r = run_stream(arrivals, options);
+        HdltsOptions hdlts;
+        hdlts.duplication = DuplicationRule::kOff;
+        hdlts.pv = pv;
+        const sim::Schedule s = Hdlts(hdlts).schedule(sim::Problem(w));
+        const std::string label = "pv " + std::to_string(static_cast<int>(pv)) +
+                                  " family " + std::to_string(family) +
+                                  " seed " + std::to_string(seed);
+        EXPECT_EQ(r.makespan, s.makespan()) << label;
+        ASSERT_EQ(r.executions.size(), w.graph.num_tasks()) << label;
+        for (const StreamTaskExec& e : r.executions) {
+          EXPECT_EQ(e.workflow, 0u) << label;
+          const sim::Placement& pl = s.placement(e.task);
+          EXPECT_EQ(e.proc, pl.proc) << label << " task " << e.task;
+          EXPECT_EQ(e.start, pl.start) << label << " task " << e.task;
+          EXPECT_EQ(e.finish, pl.finish) << label << " task " << e.task;
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 90u);
 }
 
 TEST(StreamDifferential, CompileOnceRunManyIsBitIdentical) {

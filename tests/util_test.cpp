@@ -249,40 +249,48 @@ TEST(ThreadPool, ConcurrentSubmittersAreSafe) {
   EXPECT_EQ(sum.load(), 400);
 }
 
-TEST(ThreadPool, RunTeamCoversRangeExactlyOnce) {
+TEST(ThreadPool, ParallelForChunkedZeroCountAndShortRanges) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1003);
-  pool.run_team(hits.size(), 16, [&](std::size_t begin, std::size_t end) {
-    EXPECT_LT(begin, end);
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  parallel_for_chunked(pool, 0, [](std::size_t, std::size_t) { FAIL(); });
+  // Fewer items than the pool has chunks: every chunk is still non-empty
+  // and the chunks still tile the range exactly once.
+  for (const std::size_t count : {1u, 2u, 3u, 5u}) {
+    std::vector<std::atomic<int>> hits(count);
+    std::atomic<std::size_t> calls{0};
+    parallel_for_chunked(pool, count, [&](std::size_t begin, std::size_t end) {
+      EXPECT_LT(begin, end);
+      EXPECT_LE(end, count);
+      calls.fetch_add(1);
+      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "count " << count;
+    EXPECT_LE(calls.load(), count);
+  }
 }
 
-TEST(ThreadPool, RunTeamZeroCountAndDegenerateChunks) {
-  ThreadPool pool(2);
-  pool.run_team(0, 4, [](std::size_t, std::size_t) { FAIL(); });
-  std::vector<std::atomic<int>> hits(5);
-  pool.run_team(hits.size(), 0,  // chunk 0 is clamped to 1
-                [&](std::size_t begin, std::size_t end) {
-                  for (std::size_t i = begin; i < end; ++i) {
-                    hits[i].fetch_add(1);
-                  }
-                });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Chunk larger than count: the caller runs everything in one piece.
-  std::atomic<int> calls{0};
-  pool.run_team(3, 100, [&](std::size_t begin, std::size_t end) {
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 3u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1);
+TEST(ThreadPool, PoolOfOneRunsEveryChunkOnItsWorker) {
+  // A one-worker pool degenerates to serial execution on that worker; back
+  // to back calls through it must not drift.
+  ThreadPool pool(1);
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<int> hits(101, 0);  // one worker: no atomics needed
+    std::set<std::thread::id> runners;
+    int chunks = 0;
+    parallel_for_chunked(pool, hits.size(),
+                         [&](std::size_t begin, std::size_t end) {
+                           runners.insert(std::this_thread::get_id());
+                           ++chunks;
+                           for (std::size_t i = begin; i < end; ++i) ++hits[i];
+                         });
+    for (const int h : hits) EXPECT_EQ(h, 1) << "rep " << rep;
+    EXPECT_EQ(runners.size(), 1u);
+    EXPECT_LE(chunks, 4);
+  }
 }
 
-TEST(ThreadPool, RunTeamBackToBackAndInterleavedWithSubmit) {
-  // Teams reuse a single broadcast slot; consecutive teams and queued tasks
-  // must not interfere (the shape the CI TSan job checks).
+TEST(ThreadPool, ParallelForBackToBackAndInterleavedWithSubmit) {
+  // Queued tasks and parallel_for chunks share one queue; neither may lose
+  // or repeat work of the other.
   ThreadPool pool(3);
   std::atomic<int> task_sum{0};
   for (int round = 0; round < 50; ++round) {
@@ -290,38 +298,38 @@ TEST(ThreadPool, RunTeamBackToBackAndInterleavedWithSubmit) {
       pool.submit([&task_sum] { task_sum.fetch_add(1); });
     }
     std::vector<std::atomic<int>> hits(97);
-    pool.run_team(hits.size(), 8, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
+    parallel_for(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
   }
   pool.wait_idle();
   EXPECT_EQ(task_sum.load(), 250);
 }
 
-TEST(ThreadPool, RunTeamFromConcurrentLeadersSerializes) {
-  // run_team is documented single-leader-at-a-time; concurrent external
-  // callers must be serialized, each team still covering its whole range.
+TEST(ThreadPool, ParallelForFromConcurrentCallersCompletesEachRange) {
+  // Several threads drive one pool at once: each call still returns only
+  // after its own whole range has run.
   ThreadPool pool(2);
   std::atomic<long> grand{0};
-  std::vector<std::thread> leaders;
+  std::vector<std::thread> callers;
   for (int t = 0; t < 3; ++t) {
-    leaders.emplace_back([&] {
+    callers.emplace_back([&] {
       for (int round = 0; round < 20; ++round) {
         std::atomic<long> local{0};
-        pool.run_team(64, 4, [&](std::size_t begin, std::size_t end) {
-          long s = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            s += static_cast<long>(i);
-          }
-          local.fetch_add(s);
-        });
+        parallel_for_chunked(pool, 64,
+                             [&](std::size_t begin, std::size_t end) {
+                               long s = 0;
+                               for (std::size_t i = begin; i < end; ++i) {
+                                 s += static_cast<long>(i);
+                               }
+                               local.fetch_add(s);
+                             });
         EXPECT_EQ(local.load(), 64L * 63L / 2L);
         grand.fetch_add(local.load());
       }
     });
   }
-  for (auto& l : leaders) l.join();
+  for (auto& c : callers) c.join();
   EXPECT_EQ(grand.load(), 3L * 20L * (64L * 63L / 2L));
 }
 
