@@ -661,9 +661,8 @@ int main(int argc, char** argv) {
     const obs::MonitorReport report = monitor.finish();
     const svc::BatchEngineStats stats = engine.stats();
     std::cout << "stress_tool: " << submitted << " submitted, "
-              << stats.completed << " completed, " << stats.steals
-              << " steals, " << c_violations.value() << " violations, "
-              << report.samples << " monitor samples over "
+              << stats.completed << " completed, " << c_violations.value()
+              << " violations, " << report.samples << " monitor samples over "
               << report.elapsed_s << "s\n";
     for (const obs::GateResult& gate : report.gates) {
       std::cout << "  gate " << gate.detail << "\n";

@@ -1,20 +1,21 @@
 // Per-tenant weighted-fair admission queue: bounded FIFO per tenant,
 // deficit-round-robin (DRR) dispatch across tenants (docs/SERVICE.md).
 //
-// Why DRR: the serve daemon admits submissions from many tenants into one
-// dispatcher that feeds svc::BatchEngine. A plain shared FIFO would let one
-// flooding tenant occupy the whole pipeline; per-tenant queues + DRR bound
-// both the memory (per_tenant_capacity each) and the bandwidth share (a
-// tenant with weight w gets w units of service per round, so a light tenant
-// is delayed by at most one round of the heavy tenants' quanta, never by
-// their whole backlog). Every request costs one unit — requests are
+// Why DRR: the serve daemon admits submissions from many tenants and hands
+// them to svc::BatchEngine one per free worker, so every other request
+// waits here. A plain shared FIFO would let one flooding tenant occupy the
+// whole pipeline; per-tenant queues + DRR bound both the memory
+// (per_tenant_capacity each) and the bandwidth share (a tenant with weight
+// w gets w units of service per round, so a light tenant is delayed by at
+// most one round of the heavy tenants' quanta, never by their whole
+// backlog). Every request costs one unit — requests are
 // independent scheduling problems of broadly similar size, and a cheaper
 // unit model keeps the dispatch order exactly reproducible in tests
 // (tests/net_test.cpp pins the full DRR interleaving).
 //
 // The queue is NOT thread-safe: the server serialises push (event loop) and
-// pop (dispatcher) under its own mutex, and the tests drive it single
-// threaded for determinism.
+// pop (event loop on admission, engine workers on result delivery) under
+// its own mutex, and the tests drive it single threaded for determinism.
 #pragma once
 
 #include <cstddef>

@@ -15,7 +15,7 @@
 //   1 MalformedRequest  — frame isn't valid JSON or violates the schema
 //   2 OverLimits        — request is well-formed but exceeds a server limit
 //   3 QueueFull         — admission control rejected it (tenant queue full,
-//                         too many tenants, engine backpressure, draining)
+//                         too many tenants, draining)
 //   4 Internal          — scheduling itself failed (generator threw, ...)
 //
 // Byte-exactness: responses render with a fixed key order, util::json_escape
@@ -72,7 +72,7 @@ enum class Verb {
 /// A named workload generator invocation; the parameter set mirrors
 /// `workflow_tool generate` so a submit frame and the CLI speak the same
 /// dialect. Materialisation is deferred (make_workload) so the engine can
-/// run it on a worker thread instead of the server's dispatcher.
+/// run it on a worker thread instead of the server's event loop.
 struct GeneratorSpec {
   std::string kind = "random";  ///< random|fft|montage|md|gauss
   std::size_t tasks = 100;      ///< random

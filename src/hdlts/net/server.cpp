@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <sstream>
@@ -162,13 +163,11 @@ void Server::start() {
   if (started_) throw Error("Server::start called twice");
   started_ = true;
   loop_thread_ = std::thread([this] { loop(); });
-  dispatch_thread_ = std::thread([this] { dispatch(); });
 }
 
 void Server::request_drain() {
   drain_flag_.store(true, std::memory_order_release);
   wake();
-  dispatch_cv_.notify_all();
 }
 
 void Server::notify_drain_async() noexcept {
@@ -182,11 +181,7 @@ void Server::notify_drain_async() noexcept {
 }
 
 void Server::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return stopped_; });
-  lock.unlock();
   if (loop_thread_.joinable()) loop_thread_.join();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
 }
 
 void Server::drain() {
@@ -262,24 +257,18 @@ void Server::loop() {
       std::lock_guard<std::mutex> lock(mu_);
       if (drain_flag_.load(std::memory_order_acquire)) begin_drain_locked();
 
-      // Exit once the engine is fully drained and every response that still
-      // has a session is flushed (sessions that cannot flush are closed by
-      // the write timeout below, so this converges).
-      if (draining_ && engine_shut_) {
-        bool flushed = true;
-        for (const auto& [id, session] : sessions_) {
-          if (session->out_offset < session->outbox.size()) {
-            flushed = false;
-            break;
-          }
-        }
-        if (flushed && inflight_.empty()) {
-          sessions_.clear();
-          m_active_->set(0.0);
-          stopped_ = true;
-          done_cv_.notify_all();
-          return;
-        }
+      // Exit once nothing is queued or handed out and every response that
+      // still has a session is flushed (sessions that cannot flush are
+      // closed by the write timeout below, so this converges).
+      if (draining_ && queue_.empty() && inflight_.empty() &&
+          std::all_of(sessions_.begin(), sessions_.end(),
+                      [](const auto& entry) {
+                        return entry.second->out_offset ==
+                               entry.second->outbox.size();
+                      })) {
+        sessions_.clear();
+        m_active_->set(0.0);
+        break;
       }
 
       fds.push_back({wake_r_.get(), POLLIN, 0});
@@ -329,6 +318,9 @@ void Server::loop() {
 
     enforce_timeouts_locked(std::chrono::steady_clock::now());
   }
+  // Nothing is handed out, so no callback can still need mu_. Joining the
+  // idle engine's workers makes engine_stats() final once wait() returns.
+  engine_->shutdown(svc::BatchEngine::Drain::kDrain);
 }
 
 void Server::accept_sessions_locked() {
@@ -513,7 +505,7 @@ void Server::handle_submit_locked(Session& session, ParsedRequest&& request) {
       m_accepted_->add();
       session.inflight += 1;
       set_tenant_depth_locked(tenant);
-      dispatch_cv_.notify_one();
+      pump_locked();
       break;
     case FairQueue<std::unique_ptr<Pending>>::Push::kTenantFull:
       rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -536,7 +528,6 @@ void Server::begin_drain_locked() {
   if (draining_) return;
   draining_ = true;
   listener_.reset();
-  dispatch_cv_.notify_all();
 }
 
 void Server::enforce_timeouts_locked(
@@ -564,69 +555,46 @@ void Server::enforce_timeouts_locked(
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher
+// Handoff to the engine
 // ---------------------------------------------------------------------------
 
-void Server::dispatch() {
-  for (;;) {
+void Server::pump_locked() {
+  // At most one request per worker is out, so requests wait in their tenant
+  // queue, where DRR orders them, and the engine ring (capacity >= limit)
+  // always has room.
+  const std::size_t limit =
+      std::min(engine_->threads(), engine_->queue_capacity());
+  while (!queue_.empty() && inflight_.size() < limit) {
+    std::unique_ptr<Pending> pending;
+    std::string tenant;
+    queue_.pop(&tenant, &pending);
+    set_tenant_depth_locked(tenant);
+    Pending* raw = pending.get();
+    raw->ticket = next_ticket_++;
+    inflight_.emplace(raw->ticket, std::move(pending));
     svc::BatchRequest request;
-    Pending* raw = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      dispatch_cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
-      if (queue_.empty()) {
-        if (draining_) break;
-        continue;
-      }
-      std::unique_ptr<Pending> pending;
-      std::string tenant;
-      queue_.pop(&tenant, &pending);
-      set_tenant_depth_locked(tenant);
-      raw = pending.get();
-      raw->ticket = next_ticket_++;
-      inflight_.emplace(raw->ticket, std::move(pending));
-      request.id = raw->ticket;
-      request.seed = raw->seed;
-      request.job = raw->job;
-      if (raw->job == svc::BatchJob::kStream) {
-        request.arrivals = &raw->arrivals;
-        request.stream_options = raw->stream_options;
-      } else {
-        request.generator = &raw->workload_fn;
-        request.schedulers = raw->schedulers;
-        request.failures = raw->failures;
-      }
+    request.id = raw->ticket;
+    request.seed = raw->seed;
+    request.job = raw->job;
+    if (raw->job == svc::BatchJob::kStream) {
+      request.arrivals = &raw->arrivals;
+      request.stream_options = raw->stream_options;
+    } else {
+      request.generator = &raw->workload_fn;
+      request.schedulers = raw->schedulers;
+      request.failures = raw->failures;
     }
-    // Blocking submit OUTSIDE the mutex: engine backpressure stalls only the
-    // dispatcher (the tenant queues keep absorbing), and result callbacks
-    // are free to take the mutex meanwhile.
-    if (!engine_->submit(request)) {
-      // Engine closed under us (only possible during destruction bugs);
-      // answer rather than hang the client.
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = inflight_.find(request.id);
-      if (it != inflight_.end()) {
-        const Pending& p = *it->second;
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        m_completed_->add();
-        deliver_locked(p.session,
-                       render_error(ErrorCode::kInternal,
-                                    "engine rejected request", p.id,
-                                    p.tenant));
-        inflight_.erase(it);
-      }
-      wake();
+    if (!engine_->try_submit(request)) {
+      // Only a closed engine refuses; answer rather than hang the client.
+      completed_.fetch_add(1, std::memory_order_relaxed);
+      m_completed_->add();
+      deliver_locked(raw->session,
+                     render_error(ErrorCode::kInternal,
+                                  "engine rejected request", raw->id,
+                                  raw->tenant));
+      inflight_.erase(request.id);
     }
   }
-  // Drain tail: every queued request was submitted; kDrain blocks until the
-  // engine finishes them all (callbacks included), so after this the
-  // inflight map is empty and every response is in an outbox.
-  engine_->shutdown(svc::BatchEngine::Drain::kDrain);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    engine_shut_ = true;
-  }
-  wake();
 }
 
 // ---------------------------------------------------------------------------
@@ -665,6 +633,7 @@ void Server::on_engine_result(const svc::BatchResult& result) {
   const std::uint64_t session_id = pending.session;
   inflight_.erase(it);
   deliver_locked(session_id, frame);
+  pump_locked();
   wake();
 }
 

@@ -3,33 +3,36 @@
 // weighted-fair queues (net/fair_queue.hpp), executes them on a
 // svc::BatchEngine, and streams byte-exact responses back per session.
 //
-// Threading (three threads plus the engine's workers):
+// Threading (one thread plus the engine's workers):
 //   * the event loop: poll() over the listener, a self-pipe, and every
 //     session socket (all non-blocking). It accepts, frames, parses, admits
 //     (FairQueue push or an immediate error response), flushes outboxes, and
 //     enforces read/write timeouts. It is the only thread that creates or
 //     destroys sessions.
-//   * the dispatcher: pops requests in DRR order and feeds them to
-//     BatchEngine::submit(), which *blocks* under engine backpressure — the
-//     tenant queues are the admission point, the engine ring is just the
-//     pipeline, so a slow engine surfaces to clients as per-tenant QueueFull
-//     rather than head-of-line blocking inside the engine.
 //   * engine workers call the result callback, which renders the response
 //     (protocol.hpp), appends it to the owning session's outbox under the
 //     server mutex, and wakes the event loop via the self-pipe.
 //
+// Handoff: the tenant queues are the only place a request waits. The server
+// hands a request to the engine only while fewer than min(engine workers,
+// engine queue capacity) are out, from the two places that already hold
+// the server mutex: admission and delivery of a request's last result. DRR
+// therefore orders every request beyond the ones running, and a slow engine
+// surfaces to clients as per-tenant QueueFull. Lock order is server mutex
+// -> engine mutex; the engine never runs a callback under its own lock.
+//
 // Graceful drain (request_drain(), the drain verb, or SIGTERM via
 // notify_drain_async): the listener closes, new submits are rejected with
-// QueueFull("server is draining"), the dispatcher finishes the queued
-// backlog and shuts the engine down in kDrain mode, the loop flushes every
-// outbox, and wait() returns. Every admitted request gets exactly one
-// rendered response — stats().accepted == completed after drain, with
-// orphaned counting the subset whose session had already disconnected.
+// QueueFull("server is draining"), the queued backlog keeps flowing to the
+// engine, and once nothing is queued or handed out and every outbox is
+// flushed the loop shuts the idle engine down and wait() returns. Every
+// admitted request gets exactly one rendered response — stats().accepted ==
+// completed after drain, with orphaned counting the subset whose session
+// had already disconnected.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -54,7 +57,9 @@ struct ServerOptions {
   /// Loopback port to listen on; 0 = kernel-assigned (read it back with
   /// port(), which is valid right after construction).
   std::uint16_t port = 0;
-  /// BatchEngine workers (0 = hardware concurrency) and ring capacity.
+  /// BatchEngine workers (0 = hardware concurrency) and ring capacity. The
+  /// server hands out at most min(engine_threads, capacity) requests at a
+  /// time, so the capacity only matters when set below engine_threads.
   std::size_t engine_threads = 0;
   std::size_t engine_queue_capacity = 256;
   Limits limits;
@@ -105,7 +110,7 @@ class Server {
 
   std::uint16_t port() const { return port_; }
 
-  /// Spawns the event loop and dispatcher. start() twice is an error.
+  /// Spawns the event loop. start() twice is an error.
   void start();
 
   /// Begins a graceful drain; non-blocking, idempotent.
@@ -115,7 +120,7 @@ class Server {
   /// SIGTERM handlers.
   void notify_drain_async() noexcept;
 
-  /// Blocks until the drain completes and both threads exit.
+  /// Blocks until the drain completes and the event loop exits.
   void wait();
 
   /// request_drain() + wait().
@@ -131,8 +136,10 @@ class Server {
   struct Pending;
 
   void loop();
-  void dispatch();
   void wake() noexcept;
+  /// Hands requests to the engine in DRR order while fewer than
+  /// min(engine workers, engine queue capacity) are out.
+  void pump_locked();
 
   void accept_sessions_locked();
   void read_session_locked(Session& session);
@@ -156,20 +163,15 @@ class Server {
   std::unique_ptr<svc::BatchEngine> engine_;
 
   std::thread loop_thread_;
-  std::thread dispatch_thread_;
   bool started_ = false;
 
   mutable std::mutex mu_;
-  std::condition_variable dispatch_cv_;
-  std::condition_variable done_cv_;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   std::uint64_t next_session_ = 1;
   FairQueue<std::unique_ptr<Pending>> queue_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Pending>> inflight_;
   std::uint64_t next_ticket_ = 1;
   bool draining_ = false;
-  bool engine_shut_ = false;
-  bool stopped_ = false;
   std::atomic<bool> drain_flag_{false};
   std::atomic<int> wake_fd_{-1};  ///< self-pipe write end, for the handler
 

@@ -35,7 +35,6 @@ struct BatchEngine::Worker {
     obs::Histogram* latency = nullptr;
   };
 
-  std::size_t index = 0;         // this worker's shard
   BatchRequest request;          // pop target; strings keep their capacity
   /// Dynamic-request state: the compiled online scheduler owns its arena /
   /// recycled Schedule / committed buffers, and the result is a recycled
@@ -51,28 +50,11 @@ struct BatchEngine::Worker {
   std::map<std::pair<int, int>, core::StreamHdlts> stream;
   core::StreamResult stream_result;
   obs::Histogram* stream_latency = nullptr;
-  /// Steal transfer buffer (sized up front to the worst-case half-queue):
-  /// stolen requests are copied here under the victim's lock, then moved on
-  /// without ever holding two shard locks. Slots recycle their capacity the
-  /// same way the ring slots do.
-  std::vector<BatchRequest> staging;
   sim::Schedule schedule{0, 1};  // recycled via Schedule::reset
   std::string error;             // failure-path message buffer
   std::optional<sim::Workload> workload;  // generated-request storage
   std::optional<sim::Problem> problem;
   std::map<std::string, CacheEntry, std::less<>> cache;  // by scheduler name
-};
-
-/// One worker's bounded request ring. Slots are recycled (copy-assigned), so
-/// after one lap every slot's strings/vector hold their high-water capacity
-/// and steady-state traffic allocates nothing. Sized to the full engine
-/// capacity: round-robin submission plus stealing can concentrate every
-/// queued request into one shard in the worst case.
-struct BatchEngine::Shard {
-  std::mutex mu;
-  std::vector<BatchRequest> ring;
-  std::size_t head = 0;   // next slot to pop
-  std::size_t count = 0;  // queued requests in this shard
 };
 
 BatchEngine::BatchEngine(const sched::Registry& registry, ResultFn on_result,
@@ -87,6 +69,7 @@ BatchEngine::BatchEngine(const sched::Registry& registry, ResultFn on_result,
     throw InvalidArgument("BatchEngine needs a result callback");
   }
   capacity_ = options_.queue_capacity;
+  ring_.resize(capacity_);
 
   util::ThreadPool* pool = options_.pool;
   if (pool == nullptr) {
@@ -94,15 +77,9 @@ BatchEngine::BatchEngine(const sched::Registry& registry, ResultFn on_result,
     pool = owned_pool_.get();
   }
   drain_loops_ = pool->size();
-  shards_.reserve(drain_loops_);
   workers_.reserve(drain_loops_);
   for (std::size_t i = 0; i < drain_loops_; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->ring.resize(capacity_);
     workers_.push_back(std::make_unique<Worker>());
-    workers_.back()->index = i;
-    // Worst-case steal is half of a full victim queue (rounded up).
-    workers_.back()->staging.resize(capacity_ / 2 + 1);
   }
   loops_running_ = drain_loops_;
   for (std::size_t i = 0; i < drain_loops_; ++i) {
@@ -138,28 +115,15 @@ obs::Gauge& in_flight_gauge() {
 }  // namespace
 
 bool BatchEngine::enqueue_locked(const BatchRequest& request) {
-  // Deal round-robin across shards; copy-assign into the recycled ring slot
-  // (after one lap the slot's strings/vector are at capacity and the copy
-  // allocates nothing — same-shape steady state).
-  Shard& shard = *shards_[rr_next_];
-  rr_next_ = (rr_next_ + 1) % shards_.size();
-  {
-    std::lock_guard slock(shard.mu);
-    shard.ring[(shard.head + shard.count) % capacity_] = request;
-    ++shard.count;
-  }
-  const std::size_t total =
-      total_size_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  ring_[(head_ + size_) % capacity_] = request;
+  const std::size_t total = ++size_;
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (!saw_submit_) {
     saw_submit_ = true;
     first_submit_ = std::chrono::steady_clock::now();
   }
-  std::size_t hw = high_water_.load(std::memory_order_relaxed);
-  while (total > hw && !high_water_.compare_exchange_weak(
-                           hw, total, std::memory_order_relaxed)) {
-  }
-  if (total > hw) {
+  if (total > high_water_.load(std::memory_order_relaxed)) {
+    high_water_.store(total, std::memory_order_relaxed);
     static obs::Gauge& high_water =
         obs::MetricRegistry::global().gauge("svc.batch.queue_high_water");
     high_water.record_max(static_cast<double>(total));
@@ -211,8 +175,7 @@ void check_request(const BatchRequest& request) {
 bool BatchEngine::try_submit(const BatchRequest& request) {
   check_request(request);
   std::lock_guard lock(mu_);
-  if (closed_ ||
-      total_size_.load(std::memory_order_acquire) >= capacity_) {
+  if (closed_ || size_ >= capacity_) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& rejected =
         obs::MetricRegistry::global().counter("svc.batch.rejected");
@@ -225,9 +188,7 @@ bool BatchEngine::try_submit(const BatchRequest& request) {
 bool BatchEngine::submit(const BatchRequest& request) {
   check_request(request);
   std::unique_lock lock(mu_);
-  not_full_.wait(lock, [this] {
-    return closed_ || total_size_.load(std::memory_order_acquire) < capacity_;
-  });
+  not_full_.wait(lock, [this] { return closed_ || size_ < capacity_; });
   if (closed_) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& rejected =
@@ -242,9 +203,8 @@ bool BatchEngine::submit(const BatchRequest& request,
                          std::chrono::nanoseconds timeout) {
   check_request(request);
   std::unique_lock lock(mu_);
-  const bool space = not_full_.wait_for(lock, timeout, [this] {
-    return closed_ || total_size_.load(std::memory_order_acquire) < capacity_;
-  });
+  const bool space = not_full_.wait_for(
+      lock, timeout, [this] { return closed_ || size_ < capacity_; });
   if (!space || closed_) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& rejected =
@@ -258,8 +218,7 @@ bool BatchEngine::submit(const BatchRequest& request,
 void BatchEngine::wait_idle() {
   std::unique_lock lock(mu_);
   idle_.wait(lock, [this] {
-    return total_size_.load(std::memory_order_acquire) == 0 &&
-           in_flight_.load(std::memory_order_acquire) == 0;
+    return size_ == 0 && in_flight_.load(std::memory_order_acquire) == 0;
   });
   const std::uint64_t completed =
       completed_.load(std::memory_order_relaxed);
@@ -281,33 +240,19 @@ void BatchEngine::shutdown(Drain mode) {
     std::unique_lock lock(mu_);
     if (!closed_) {
       closed_ = true;
-      if (mode == Drain::kCancel) {
-        // Sweep every shard. A batch a thief has already copied out of a
-        // victim ring is in flight from the engine's point of view and
-        // still finishes (threads cannot be interrupted mid-transfer any
-        // more than mid-schedule).
-        std::size_t removed = 0;
-        for (auto& shard : shards_) {
-          std::lock_guard slock(shard->mu);
-          removed += shard->count;
-          shard->count = 0;
-          shard->head = 0;
-        }
-        if (removed > 0) {
-          cancelled_.fetch_add(removed, std::memory_order_relaxed);
-          static obs::Counter& cancelled =
-              obs::MetricRegistry::global().counter("svc.batch.cancelled");
-          cancelled.add(removed);
-          const std::size_t queued =
-              total_size_.fetch_sub(removed, std::memory_order_acq_rel) -
-              removed;
-          queue_depth_gauge().set(static_cast<double>(queued));
-        }
+      if (mode == Drain::kCancel && size_ > 0) {
+        // The slots just stay for reuse; popped requests still finish.
+        cancelled_.fetch_add(size_, std::memory_order_relaxed);
+        static obs::Counter& cancelled =
+            obs::MetricRegistry::global().counter("svc.batch.cancelled");
+        cancelled.add(size_);
+        size_ = 0;
+        head_ = 0;
+        queue_depth_gauge().set(0.0);
       }
       not_empty_.notify_all();
       not_full_.notify_all();
-      if (total_size_.load(std::memory_order_acquire) == 0 &&
-          in_flight_.load(std::memory_order_acquire) == 0) {
+      if (size_ == 0 && in_flight_.load(std::memory_order_acquire) == 0) {
         idle_.notify_all();
       }
     }
@@ -323,96 +268,27 @@ BatchEngineStats BatchEngine::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.sched_failures = sched_failures_.load(std::memory_order_relaxed);
-  s.steals = steals_.load(std::memory_order_relaxed);
   s.queue_high_water = high_water_.load(std::memory_order_relaxed);
   return s;
 }
 
 bool BatchEngine::pop(Worker& worker) {
-  for (;;) {
-    if (pop_own(worker) || steal_into(worker)) return true;
-    std::unique_lock lock(mu_);
-    // total_size_ > 0 with every shard empty is possible for the instants a
-    // stolen batch sits in a thief's staging buffer; the wait predicate then
-    // passes immediately and the scan retries, which is a bounded busy loop
-    // because the thief re-queues its surplus before processing anything.
-    not_empty_.wait(lock, [this] {
-      return closed_ || total_size_.load(std::memory_order_acquire) > 0;
-    });
-    if (closed_ && total_size_.load(std::memory_order_acquire) == 0) {
-      return false;  // closed and drained (or cancelled)
-    }
-  }
-}
-
-bool BatchEngine::pop_own(Worker& worker) {
-  Shard& shard = *shards_[worker.index];
-  {
-    std::lock_guard slock(shard.mu);
-    if (shard.count == 0) return false;
-    // Copy-assign keeps worker.request's strings/vector at capacity.
-    worker.request = shard.ring[shard.head];
-    shard.head = (shard.head + 1) % capacity_;
-    --shard.count;
-  }
+  std::unique_lock lock(mu_);
+  not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
+  if (size_ == 0) return false;  // closed and drained (or cancelled)
+  // Copy-assign keeps worker.request's strings/vector at capacity.
+  worker.request = ring_[head_];
+  head_ = (head_ + 1) % capacity_;
   // Claim before releasing the queue slot so wait_idle can never observe
-  // total == 0 && in_flight == 0 while a request is between the two.
+  // size == 0 && in_flight == 0 while a request is between the two.
   const std::size_t flying =
       in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const std::size_t queued =
-      total_size_.fetch_sub(1, std::memory_order_acq_rel) - 1;
+  const std::size_t queued = --size_;
+  lock.unlock();
   in_flight_gauge().set(static_cast<double>(flying));
   queue_depth_gauge().set(static_cast<double>(queued));
-  { std::lock_guard lock(mu_); }  // pairs with the not_full_ wait predicate
   not_full_.notify_one();
   return true;
-}
-
-bool BatchEngine::steal_into(Worker& worker) {
-  const std::size_t nshards = shards_.size();
-  for (std::size_t d = 1; d < nshards; ++d) {
-    Shard& victim = *shards_[(worker.index + d) % nshards];
-    std::size_t k = 0;
-    {
-      std::lock_guard vlock(victim.mu);
-      if (victim.count == 0) continue;
-      // Steal the younger half (rounded up), leaving the victim the front
-      // half it is about to pop anyway. staging[0] gets the oldest stolen
-      // request so steals preserve rough FIFO order.
-      k = (victim.count + 1) / 2;
-      const std::size_t first = victim.count - k;
-      for (std::size_t j = 0; j < k; ++j) {
-        worker.staging[j] =
-            victim.ring[(victim.head + first + j) % capacity_];
-      }
-      victim.count -= k;
-    }
-    if (k > 1) {
-      // Re-queue the surplus before processing anything so other idle
-      // workers (and wait predicates) can see it.
-      Shard& own = *shards_[worker.index];
-      std::lock_guard olock(own.mu);
-      for (std::size_t j = 1; j < k; ++j) {
-        own.ring[(own.head + own.count) % capacity_] = worker.staging[j];
-        ++own.count;
-      }
-    }
-    worker.request = worker.staging[0];
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& steals =
-        obs::MetricRegistry::global().counter("svc.batch.steals");
-    steals.add(1);
-    const std::size_t flying =
-        in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    const std::size_t queued =
-        total_size_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-    in_flight_gauge().set(static_cast<double>(flying));
-    queue_depth_gauge().set(static_cast<double>(queued));
-    { std::lock_guard lock(mu_); }  // pairs with the not_full_ wait predicate
-    not_full_.notify_one();
-    return true;
-  }
-  return false;
 }
 
 void BatchEngine::note_request_done() {
@@ -423,10 +299,9 @@ void BatchEngine::note_request_done() {
   const std::size_t was_flying =
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   in_flight_gauge().set(static_cast<double>(was_flying - 1));
-  if (was_flying == 1 &&
-      total_size_.load(std::memory_order_acquire) == 0) {
-    { std::lock_guard lock(mu_); }  // pairs with the wait_idle predicate
-    idle_.notify_all();
+  if (was_flying == 1) {
+    std::lock_guard lock(mu_);  // pairs with the wait_idle predicate
+    if (size_ == 0) idle_.notify_all();
   }
 }
 

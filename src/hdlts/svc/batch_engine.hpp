@@ -9,15 +9,11 @@
 // reusable error buffer — so the steady state stays zero-allocation per
 // request (tests/alloc_test.cpp::BatchEngineSteadyState).
 //
-// Queueing is sharded: each worker owns a bounded ring (its shard) and
-// submissions are dealt round-robin across shards, so in the balanced case a
-// worker only ever touches its own shard's lock. When a worker's shard runs
-// dry it steals the younger half of another shard's queue (oldest stolen
-// request runs first, the rest move to the thief's ring), which keeps every
-// worker busy under skewed arrival or uneven request cost. Steals are
-// counted (stats().steals, "svc.batch.steals"). Total queued size is bounded
-// by queue_capacity across all shards, so backpressure behaves exactly like
-// the old single-ring engine (docs/CONCURRENCY.md).
+// Queueing: one bounded ring of queue_capacity slots under the engine mutex.
+// Workers pop the oldest request, so requests start in submission order and
+// an idle worker always finds the next one. Requests cost 0.1-20 ms each,
+// so one lock per submit and one per pop is not a point of contention
+// (docs/CONCURRENCY.md).
 //
 // Determinism: a request's result depends only on the request's content,
 // never on worker interleaving — every scheduler in the registry is a pure
@@ -162,8 +158,7 @@ struct BatchEngineStats {
   std::uint64_t rejected = 0;   ///< submissions refused (full/timeout/closed)
   std::uint64_t cancelled = 0;  ///< queued requests dropped by kCancel
   std::uint64_t sched_failures = 0;  ///< per-scheduler failed results
-  std::uint64_t steals = 0;  ///< requests taken from another worker's shard
-  std::size_t queue_high_water = 0;  ///< max total queue depth ever observed
+  std::size_t queue_high_water = 0;  ///< max queue depth ever observed
 };
 
 class BatchEngine {
@@ -212,14 +207,11 @@ class BatchEngine {
 
  private:
   struct Worker;
-  struct Shard;
 
   void worker_loop(Worker& worker);
-  /// Blocks until a request lands in `worker.request` (own shard first,
-  /// then stealing); false once the engine is closed and drained.
+  /// Blocks until the oldest queued request lands in `worker.request`;
+  /// false once the engine is closed and drained.
   bool pop(Worker& worker);
-  bool pop_own(Worker& worker);
-  bool steal_into(Worker& worker);
   void process(Worker& worker, const BatchRequest& request);
   bool enqueue_locked(const BatchRequest& request);
   void note_request_done();
@@ -229,33 +221,31 @@ class BatchEngine {
   ResultFn on_result_;
   BatchEngineOptions options_;
 
-  // Locking: mu_ serializes submissions and guards closed_ / the condition
-  // variables; each shard's own mutex guards its ring. Lock order is
-  // mu_ -> shard.mu (submit) or shard.mu alone (workers); a thief never
-  // holds two shard locks at once (stolen requests go through the worker's
-  // staging buffer), so the order cannot cycle. Counters are atomics so the
-  // hot worker paths and stats() never touch mu_.
+  // Locking: mu_ guards the ring, closed_ and the condition variables; no
+  // lock is held while a request runs or a callback is invoked. Counters
+  // are atomics so stats() never needs mu_.
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::condition_variable idle_;
   std::condition_variable exited_;
-  std::size_t capacity_ = 0;  // total bound across all shards
-  std::size_t rr_next_ = 0;   // round-robin submit cursor; guarded by mu_
-  bool closed_ = false;       // guarded by mu_
-  std::atomic<std::size_t> total_size_{0};  // queued across all shards
-  std::atomic<std::size_t> in_flight_{0};   // popped, not yet completed
+  /// Copy-assigned, never destroyed: after one lap every slot's strings and
+  /// vectors hold their high-water capacity, so queueing allocates nothing.
+  std::vector<BatchRequest> ring_;  // guarded by mu_
+  std::size_t head_ = 0;            // next slot to pop; guarded by mu_
+  std::size_t size_ = 0;            // queued requests; guarded by mu_
+  std::size_t capacity_ = 0;
+  bool closed_ = false;                    // guarded by mu_
+  std::atomic<std::size_t> in_flight_{0};  // popped, not yet completed
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> sched_failures_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::size_t> high_water_{0};
   std::chrono::steady_clock::time_point first_submit_{};  // guarded by mu_
   bool saw_submit_ = false;                               // guarded by mu_
 
-  std::vector<std::unique_ptr<Shard>> shards_;  // one per drain loop
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t drain_loops_ = 0;
   std::size_t loops_running_ = 0;  // guarded by mu_

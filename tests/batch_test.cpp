@@ -635,22 +635,27 @@ TEST(BatchEngine, MetricsRegistryMirrorsEngineStats) {
   }
 }
 
-TEST(BatchEngine, StealsDrainAParkedWorkersShard) {
-  // Deterministic stealing scenario: park BOTH workers inside gate
-  // generators (one request lands in each shard, so each worker ends up
-  // inside one), queue direct requests round-robin across both shards, then
-  // release a single worker. The still-parked worker's shard can only drain
-  // through steals, so the free worker must record at least one.
+TEST(BatchEngine, FreeWorkerDrainsQueueInOrderWhileAPeerIsParked) {
+  // Park BOTH workers inside gate generators, queue direct requests behind
+  // them, then release a single worker. It alone must run every queued
+  // request while its peer stays parked, oldest first: one ring makes
+  // submission order the start order.
   const sim::Workload w = make_workload(25, 3, 7);
   const sim::Problem problem(w);
   const sched::Registry registry = core::default_registry();
   GateGenerator gate_a;
   GateGenerator gate_b;
-  Collector collector;
+  std::mutex mu;
+  std::vector<std::uint64_t> order;  // result ids in callback order
+  auto on_result = [&](const BatchResult& r) {
+    EXPECT_TRUE(r.ok) << r.error;
+    std::lock_guard lock(mu);
+    order.push_back(r.id);
+  };
   BatchEngineOptions options;
   options.threads = 2;
   options.queue_capacity = 16;
-  BatchEngine engine(registry, collector.callback(), options);
+  BatchEngine engine(registry, on_result, options);
   ASSERT_EQ(engine.threads(), 2u);
 
   BatchRequest blocked;
@@ -662,9 +667,9 @@ TEST(BatchEngine, StealsDrainAParkedWorkersShard) {
   blocked.generator = &gate_b.fn;
   ASSERT_TRUE(engine.submit(blocked));
   gate_a.wait_entered();
-  gate_b.wait_entered();  // both workers parked, both shards empty
+  gate_b.wait_entered();  // both workers parked, the ring empty
 
-  constexpr std::size_t kDirects = 8;  // dealt 4 into each shard
+  constexpr std::size_t kDirects = 8;
   BatchRequest direct;
   direct.problem = &problem;
   direct.schedulers = {"heft"};
@@ -677,7 +682,12 @@ TEST(BatchEngine, StealsDrainAParkedWorkersShard) {
   while (engine.stats().completed < 1 + kDirects) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(engine.stats().steals, 1u);
+  std::vector<std::uint64_t> expected = {1000};
+  for (std::size_t i = 0; i < kDirects; ++i) expected.push_back(i);
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(order, expected);  // 1001 has not run: its worker is parked
+  }
 
   gate_b.release();
   engine.shutdown(BatchEngine::Drain::kDrain);
@@ -685,32 +695,8 @@ TEST(BatchEngine, StealsDrainAParkedWorkersShard) {
   EXPECT_EQ(stats.submitted, 2 + kDirects);
   EXPECT_EQ(stats.completed, 2 + kDirects);
   EXPECT_EQ(stats.cancelled, 0u);
-  EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled);
-  EXPECT_EQ(collector.entries.size(), 2 + kDirects);
-  // The steal counter mirrors into the metric registry.
-  EXPECT_GE(obs::MetricRegistry::global().counter("svc.batch.steals").value(),
-            stats.steals);
-}
-
-TEST(BatchEngine, SingleThreadNeverSteals) {
-  const sim::Workload w = make_workload(20, 2, 4);
-  const sim::Problem problem(w);
-  const sched::Registry registry = core::default_registry();
-  Collector collector;
-  BatchEngineOptions options;
-  options.threads = 1;
-  options.queue_capacity = 8;
-  BatchEngine engine(registry, collector.callback(), options);
-  BatchRequest request;
-  request.problem = &problem;
-  request.schedulers = {"heft"};
-  for (std::size_t i = 0; i < 12; ++i) {
-    request.id = i;
-    ASSERT_TRUE(engine.submit(request));
-  }
-  engine.shutdown(BatchEngine::Drain::kDrain);
-  EXPECT_EQ(engine.stats().steals, 0u);
-  EXPECT_EQ(engine.stats().completed, 12u);
+  expected.push_back(1001);
+  EXPECT_EQ(order, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -784,10 +770,10 @@ TEST(BatchStress, ContendedProducersStayDeterministic) {
   }
 }
 
-TEST(BatchStress, BurstySubmissionExercisesStealing) {
-  // Bursts much larger than the worker count land in every shard while
-  // request costs vary (different problem sizes), so fast workers go
-  // stealing from slow ones — the contended shape the CI TSan job soaks.
+TEST(BatchStress, BurstySubmissionWithUnevenCosts) {
+  // Bursts much larger than the worker count while request costs vary
+  // (different problem sizes), so fast workers pop again while slow ones
+  // still run — the contended shape the CI TSan job soaks.
   const auto requests = static_cast<std::size_t>(
       util::env_int("HDLTS_BATCH_STRESS_REQUESTS", 200));
   std::vector<sim::Workload> workloads;
@@ -815,7 +801,7 @@ TEST(BatchStress, BurstySubmissionExercisesStealing) {
     request.problem = &problems[i % problems.size()];
     ASSERT_TRUE(engine.submit(request));
     // Drain bursts completely so the next burst starts from idle — fast
-    // workers repeatedly outrun slow ones and go stealing.
+    // workers repeatedly outrun slow ones.
     if (i % 48 == 47) engine.wait_idle();
   }
   engine.shutdown(BatchEngine::Drain::kDrain);

@@ -1,10 +1,11 @@
 // End-to-end tests for the serve daemon (net::Server + net::Client over
 // real loopback sockets): responses bit-identical to direct library runs,
 // the error taxonomy on the wire, admission control under a pipelined
-// burst, per-tenant fairness under a flooding tenant, graceful-drain
-// accounting (accepted == completed), the Prometheus scrape escape hatch,
-// and a connection-churn stress sized by HDLTS_SERVE_STRESS_CONNS for the
-// CI ThreadSanitizer leg.
+// burst, per-tenant fairness under a flooding tenant, at most one request
+// per engine worker, graceful-drain accounting (accepted == completed and
+// engine submitted == completed + cancelled after every drain), the
+// Prometheus scrape escape hatch, and a connection-churn stress sized by
+// HDLTS_SERVE_STRESS_CONNS for the CI ThreadSanitizer leg.
 #include "hdlts/net/server.hpp"
 
 #include <fcntl.h>
@@ -61,6 +62,16 @@ net::GeneratorSpec generator_spec(std::size_t tasks, std::size_t cpus) {
   return spec;
 }
 
+/// docs/SERVICE.md's drain invariants: every admitted request got a
+/// response, and nothing was lost inside the engine.
+void expect_drain_invariants(const Server& server) {
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted, stats.completed);
+  EXPECT_EQ(stats.queued, 0u);
+  const svc::BatchEngineStats engine = server.engine_stats();
+  EXPECT_EQ(engine.submitted, engine.completed + engine.cancelled);
+}
+
 TEST(ServeTest, AcceptedSocketsAreNonBlockingWithNagleOff) {
   // The server accepts every connection through net::accept_tcp. With Nagle
   // on, each response after the first of a pipelined burst would wait for
@@ -84,7 +95,8 @@ TEST(ServeTest, PingStatsAndMalformed) {
   server.start();
   Client client(server.port());
 
-  EXPECT_EQ(client.request("{\"op\":\"ping\"}"), "{\"ok\":true,\"op\":\"ping\"}");
+  EXPECT_EQ(client.request("{\"op\":\"ping\"}"),
+            "{\"ok\":true,\"op\":\"ping\"}");
 
   const std::string stats = client.request("{\"op\":\"stats\"}");
   const util::JsonValue v = util::parse_json(stats);
@@ -117,6 +129,8 @@ TEST(ServeTest, PingStatsAndMalformed) {
 
   server.drain();
   limited.drain();
+  expect_drain_invariants(server);
+  expect_drain_invariants(limited);
 }
 
 TEST(ServeTest, StaticSubmitBitIdenticalToDirectRun) {
@@ -157,6 +171,7 @@ TEST(ServeTest, StaticSubmitBitIdenticalToDirectRun) {
   EXPECT_FALSE(results[1].find("ok")->as_bool());
 
   server.drain();
+  expect_drain_invariants(server);
 }
 
 TEST(ServeTest, InlineWorkloadMatchesGeneratorPath) {
@@ -187,6 +202,7 @@ TEST(ServeTest, InlineWorkloadMatchesGeneratorPath) {
           .find("makespan")->as_number());
 
   server.drain();
+  expect_drain_invariants(server);
 }
 
 TEST(ServeTest, OnlineSubmitBitIdenticalToRunOnline) {
@@ -197,7 +213,8 @@ TEST(ServeTest, OnlineSubmitBitIdenticalToRunOnline) {
   const std::uint64_t seed = 11;
   const sim::Workload workload =
       net::make_workload(generator_spec(25, 4), seed);
-  const double clean = core::Hdlts().schedule(sim::Problem(workload)).makespan();
+  const double clean =
+      core::Hdlts().schedule(sim::Problem(workload)).makespan();
   const std::vector<core::ProcFailure> failures{{0, clean * 0.5}};
   const core::OnlineResult expected = core::run_online(workload, failures);
 
@@ -214,6 +231,7 @@ TEST(ServeTest, OnlineSubmitBitIdenticalToRunOnline) {
   EXPECT_NE(reply.find(expect), std::string::npos) << reply;
 
   server.drain();
+  expect_drain_invariants(server);
 }
 
 TEST(ServeTest, StreamSubmitBitIdenticalToRunStream) {
@@ -245,6 +263,7 @@ TEST(ServeTest, StreamSubmitBitIdenticalToRunStream) {
       << reply;
 
   server.drain();
+  expect_drain_invariants(server);
 }
 
 TEST(ServeTest, QueueFullUnderPipelinedBurst) {
@@ -281,9 +300,9 @@ TEST(ServeTest, QueueFullUnderPipelinedBurst) {
   EXPECT_EQ(ok + queue_full, kBurst);
 
   server.drain();
+  expect_drain_invariants(server);
   const net::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(ok));
-  EXPECT_EQ(stats.completed, stats.accepted);
   EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(queue_full));
 }
 
@@ -322,7 +341,43 @@ TEST(ServeTest, FloodingTenantCannotStarveLightTenant) {
     EXPECT_TRUE(util::parse_json(flood.recv_line()).find("ok")->as_bool());
   }
   server.drain();
+  expect_drain_invariants(server);
   EXPECT_EQ(server.stats().completed, static_cast<std::uint64_t>(kFlood + 1));
+}
+
+TEST(ServeTest, EngineHoldsAtMostOneRequestPerWorker) {
+  // The tenant queues are the only place a request waits: with one engine
+  // worker the engine holds at most the request it runs, and every other
+  // admitted request is still queued where DRR orders it. `completed` is
+  // the server's count; the engine's own lags its last callback.
+  ServerOptions options;
+  options.engine_threads = 1;
+  Server server(shared_registry(), options);
+  server.start();
+
+  Client submitter(server.port());
+  constexpr int kRequests = 12;
+  for (int i = 0; i < kRequests; ++i) {
+    submitter.send_line("{\"op\":\"submit\",\"id\":" + std::to_string(i) +
+                        "," + generator_json(400, 6) +
+                        ",\"schedulers\":[\"heft\"]}");
+  }
+  Client poller(server.port());
+  for (double completed = 0; completed < kRequests;) {
+    const std::string reply = poller.request("{\"op\":\"stats\"}");
+    const util::JsonValue v = util::parse_json(reply);
+    const double accepted = v.find("accepted")->as_number();
+    const double queued = v.find("queued")->as_number();
+    const double handed_out = v.find("engine_submitted")->as_number();
+    completed = v.find("completed")->as_number();
+    ASSERT_LE(handed_out - completed, 1.0) << reply;
+    ASSERT_EQ(accepted, queued + handed_out) << reply;
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(util::parse_json(submitter.recv_line()).find("ok")->as_bool());
+  }
+  server.drain();
+  expect_drain_invariants(server);
 }
 
 /// First sample value of a metric in a Prometheus exposition body; -1 when
@@ -365,6 +420,7 @@ TEST(ServeTest, MetricsScrape) {
             std::string::npos);
 
   server.drain();
+  expect_drain_invariants(server);
 }
 
 TEST(ServeTest, DrainVerbAndInvariants) {
@@ -392,13 +448,8 @@ TEST(ServeTest, DrainVerbAndInvariants) {
   EXPECT_TRUE(drain_ack);
   EXPECT_EQ(submit_replies, 4);
   server.wait();
-
-  const net::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.queued, 0u);
-  const svc::BatchEngineStats engine = server.engine_stats();
-  EXPECT_EQ(engine.submitted, engine.completed + engine.cancelled);
+  expect_drain_invariants(server);
+  EXPECT_EQ(server.stats().accepted, 4u);
 
   // Draining servers refuse new connections; submits on live sessions get
   // QueueFull("server is draining") — covered by the churn test's tail.
@@ -423,17 +474,17 @@ TEST(ServeTest, OrphanedSessionStillCountsCompleted) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.drain();
+  expect_drain_invariants(server);
   const net::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.orphaned, 1u);
 }
 
 TEST(ServeStress, ConnectionChurn) {
   // Sized by HDLTS_SERVE_STRESS_CONNS (the CI TSan leg scales it up): many
   // short-lived concurrent connections, a mix of clean request/response
-  // cycles and rude disconnects, racing the event loop, dispatcher, and
-  // engine workers. The drain invariants must survive all of it.
+  // cycles and rude disconnects, racing the event loop and the engine
+  // workers. The drain invariants must survive all of it.
   const auto conns = static_cast<int>(
       util::env_int("HDLTS_SERVE_STRESS_CONNS", 24));
   ServerOptions options;
@@ -472,14 +523,11 @@ TEST(ServeStress, ConnectionChurn) {
   for (std::thread& d : drivers) d.join();
   server.drain();
 
+  expect_drain_invariants(server);
   const net::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, stats.completed);
   EXPECT_GE(stats.completed,
             static_cast<std::uint64_t>(clean_replies.load()));
-  EXPECT_EQ(stats.queued, 0u);
-  const svc::BatchEngineStats engine = server.engine_stats();
-  EXPECT_EQ(engine.submitted, engine.completed + engine.cancelled);
-  EXPECT_EQ(engine.submitted, stats.accepted);
+  EXPECT_EQ(server.engine_stats().submitted, stats.accepted);
 }
 
 }  // namespace
