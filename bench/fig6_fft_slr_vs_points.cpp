@@ -14,8 +14,8 @@ int main() {
   std::vector<bench::SweepCell> cells;
   for (const std::size_t m : {4u, 8u, 16u, 32u}) {
     cells.push_back(
-        {std::to_string(m) + " (" + std::to_string(workload::fft_task_count(m)) +
-             " tasks)",
+        {std::to_string(m) + " (" +
+             std::to_string(workload::fft_task_count(m)) + " tasks)",
          [m](std::uint64_t seed) {
            workload::FftParams p;
            p.points = m;

@@ -22,7 +22,7 @@
 //   HDLTS_BATCH_SCHEDULERS comma list per request        (default hdlts)
 //   HDLTS_BATCH_REPS       timed passes per thread count (default 3)
 //   HDLTS_BATCH_QUEUE      submission queue capacity     (default 64)
-//   HDLTS_BATCH_JSON       output path                   (default BENCH_batch.json)
+//   HDLTS_BATCH_JSON       output path (default BENCH_batch.json)
 //   HDLTS_SEED             base workload seed            (default 42)
 #include <chrono>
 #include <cstdint>
@@ -125,8 +125,8 @@ int main() {
     workload::RandomDagParams params;
     params.num_tasks = tasks;
     params.costs.num_procs = procs;
-    workloads.push_back(
-        workload::random_workload(params, util::derive_seed(seed, 0xbabcULL, i)));
+    workloads.push_back(workload::random_workload(
+        params, util::derive_seed(seed, 0xbabcULL, i)));
     problems.emplace_back(workloads.back());
   }
 

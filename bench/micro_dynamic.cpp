@@ -1,24 +1,25 @@
-// Dynamic-path benchmark: what did the compiled zero-alloc online/stream
-// port (CompiledProblem + arena SoA rows + incremental refresh + SIMD
-// selection) buy over the legacy per-phase-rebuild implementations?
+// Dynamic-path benchmark: what do the compiled zero-alloc online/stream
+// paths (CompiledProblem + arena SoA rows + incremental refresh + SIMD
+// selection) buy over the naive references in core/reference.hpp?
 //
 // Two scenarios, each measured on both paths in the steady-state regime
 // (two warm-up runs, recycled scheduler state, best-of-n):
 //   * online — one random DAG under a two-failure fault plan, compiled
 //     OnlineHdlts::run_into over a prebuilt sim::Problem vs
-//     run_online_legacy (which rebuilds a Problem every phase);
+//     core::reference_online (which rebuilds a Problem every phase);
 //   * stream — several workflows arriving over time, compiled StreamHdlts
-//     (combined problem frozen once by compile()) vs run_stream_legacy
-//     (which recombines and recomputes every row per round).
+//     (combined problem frozen once by compile()) vs core::reference_stream
+//     (which recombines and rescans every row and timeline per round).
 // The headline number is ns per dynamic decision (one execution placed,
-// lost, or duplicated counts as one decision); the acceptance bar is the
-// compiled path >= 3x faster per decision on the online scenario at
-// 1k tasks / 8 procs (scripts/bench.sh, HDLTS_MIN_DYNAMIC_SPEEDUP).
+// lost, or duplicated counts as one decision); scripts/bench.sh gates the
+// compiled path's online speedup per decision over the reference
+// (HDLTS_MIN_DYNAMIC_SPEEDUP).
 //
 // The operator-new interposer (tests/support/alloc_hook.cpp, linked into
 // this binary only) counts heap allocations of one steady-state call per
-// path; the compiled paths must report ZERO. Bit-identity compiled-vs-legacy
-// is asserted on every cell before anything is reported.
+// path; the compiled paths must report ZERO. Bit-identity
+// compiled-vs-reference is asserted on every cell before anything is
+// reported.
 //
 // Environment knobs:
 //   HDLTS_DYNAMIC_TASKS            online DAG size          (default 1000)
@@ -40,6 +41,7 @@
 #include "support/alloc_hook.hpp"
 
 #include "hdlts/core/online.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/core/stream.hpp"
 #include "hdlts/util/env.hpp"
 #include "hdlts/util/table.hpp"
@@ -135,10 +137,10 @@ int main() {
       util::env_string("HDLTS_DYNAMIC_JSON", "BENCH_dynamic.json");
 
   bool failed = false;
-  util::Table table({"path", "compiled ms", "legacy ms", "speedup",
+  util::Table table({"path", "compiled ms", "reference ms", "speedup",
                      "decisions", "ns/decision compiled",
-                     "ns/decision legacy", "allocs/call compiled",
-                     "allocs/call legacy"});
+                     "ns/decision reference", "allocs/call compiled",
+                     "allocs/call reference"});
   std::ostringstream rows_json;
 
   // --- Online scenario: 1k-task DAG, two mid-run failures ---
@@ -159,12 +161,12 @@ int main() {
   core::OnlineResult online_out;
   const PathResult online_compiled = measure(
       [&] { online.run_into(problem, plan, online_out); }, reps);
-  core::OnlineResult online_legacy_out;
-  const PathResult online_legacy = measure(
-      [&] { online_legacy_out = core::run_online_legacy(workload, plan); },
+  core::OnlineResult online_reference_out;
+  const PathResult online_reference = measure(
+      [&] { online_reference_out = core::reference_online(workload, plan); },
       reps);
-  if (!identical(online_out, online_legacy_out)) {
-    std::cerr << "FATAL: online compiled and legacy runs disagree\n";
+  if (!identical(online_out, online_reference_out)) {
+    std::cerr << "FATAL: online compiled and reference runs disagree\n";
     failed = true;
   }
   if (online_compiled.steady_allocs != 0) {
@@ -174,7 +176,7 @@ int main() {
     failed = true;
   }
   const std::size_t online_decisions = online_out.executions.size();
-  const double online_speedup = online_legacy.ms / online_compiled.ms;
+  const double online_speedup = online_reference.ms / online_compiled.ms;
 
   // --- Stream scenario: arrivals spread across the first workflow's run ---
   std::vector<sim::Workload> stream_workloads;
@@ -200,11 +202,11 @@ int main() {
   core::StreamResult stream_out;
   const PathResult stream_compiled =
       measure([&] { stream.run_into(stream_out); }, reps);
-  core::StreamResult stream_legacy_out;
-  const PathResult stream_legacy = measure(
-      [&] { stream_legacy_out = core::run_stream_legacy(arrivals); }, reps);
-  if (!identical(stream_out, stream_legacy_out)) {
-    std::cerr << "FATAL: stream compiled and legacy runs disagree\n";
+  core::StreamResult stream_reference_out;
+  const PathResult stream_reference = measure(
+      [&] { stream_reference_out = core::reference_stream(arrivals); }, reps);
+  if (!identical(stream_out, stream_reference_out)) {
+    std::cerr << "FATAL: stream compiled and reference runs disagree\n";
     failed = true;
   }
   if (stream_compiled.steady_allocs != 0) {
@@ -214,43 +216,46 @@ int main() {
     failed = true;
   }
   const std::size_t stream_decisions = stream_out.executions.size();
-  const double stream_speedup = stream_legacy.ms / stream_compiled.ms;
+  const double stream_speedup = stream_reference.ms / stream_compiled.ms;
 
   const auto ns_per_decision = [](double ms, std::size_t decisions) {
     return decisions == 0 ? 0.0
                           : ms * 1e6 / static_cast<double>(decisions);
   };
   const auto add = [&](const char* name, const PathResult& compiled,
-                       const PathResult& legacy, std::size_t decisions,
+                       const PathResult& reference, std::size_t decisions,
                        double speedup, bool last) {
-    table.add_row({name, util::fmt(compiled.ms, 3), util::fmt(legacy.ms, 3),
-                   util::fmt(speedup, 2), std::to_string(decisions),
+    table.add_row({name, util::fmt(compiled.ms, 3),
+                   util::fmt(reference.ms, 3), util::fmt(speedup, 2),
+                   std::to_string(decisions),
                    util::fmt(ns_per_decision(compiled.ms, decisions), 1),
-                   util::fmt(ns_per_decision(legacy.ms, decisions), 1),
+                   util::fmt(ns_per_decision(reference.ms, decisions), 1),
                    std::to_string(compiled.steady_allocs),
-                   std::to_string(legacy.steady_allocs)});
+                   std::to_string(reference.steady_allocs)});
     rows_json << "    {\"path\": \"" << name << "\", \"tasks\": "
-              << (std::string(name) == "online" ? tasks
-                                                : stream_workflows * stream_tasks)
+              << (std::string(name) == "online"
+                      ? tasks
+                      : stream_workflows * stream_tasks)
               << ", \"procs\": " << procs
               << ", \"compiled_ms\": " << compiled.ms
-              << ", \"legacy_ms\": " << legacy.ms
+              << ", \"reference_ms\": " << reference.ms
               << ", \"speedup\": " << speedup
               << ", \"decisions\": " << decisions
               << ", \"ns_per_decision_compiled\": "
               << ns_per_decision(compiled.ms, decisions)
-              << ", \"ns_per_decision_legacy\": "
-              << ns_per_decision(legacy.ms, decisions)
+              << ", \"ns_per_decision_reference\": "
+              << ns_per_decision(reference.ms, decisions)
               << ", \"compiled_steady_allocs\": " << compiled.steady_allocs
-              << ", \"legacy_steady_allocs\": " << legacy.steady_allocs
-              << "}" << (last ? "\n" : ",\n");
+              << ", \"reference_steady_allocs\": "
+              << reference.steady_allocs << "}" << (last ? "\n" : ",\n");
   };
-  add("online", online_compiled, online_legacy, online_decisions,
+  add("online", online_compiled, online_reference, online_decisions,
       online_speedup, false);
-  add("stream", stream_compiled, stream_legacy, stream_decisions,
+  add("stream", stream_compiled, stream_reference, stream_decisions,
       stream_speedup, true);
 
-  std::cout << "# micro_dynamic — compiled vs legacy dynamic paths (online: "
+  std::cout << "# micro_dynamic — compiled vs reference dynamic paths "
+               "(online: "
             << tasks << " tasks / " << procs << " procs / "
             << plan.size() << " failures; stream: " << stream_workflows
             << " x " << stream_tasks << " tasks)\n";

@@ -58,7 +58,8 @@ Measurement measure(const sched::Scheduler& scheduler,
     const auto t0 = std::chrono::steady_clock::now();
     scheduler.schedule_into(problem, out);
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    const double ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (i == 0 || ms < r.ms) r.ms = ms;
   }
   const auto before = tests::alloc_counters();
@@ -87,7 +88,8 @@ double measure_recording(const sim::Problem& problem, std::size_t reps) {
     const auto t0 = std::chrono::steady_clock::now();
     scheduler.schedule_into(problem, out);
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    const double ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (i == 0 || ms < best) best = ms;
   }
   return best;

@@ -105,7 +105,8 @@ double time_scheduler(const sched::Scheduler& scheduler,
     const auto t0 = std::chrono::steady_clock::now();
     scheduler.schedule_into(problem, out);
     const auto t1 = std::chrono::steady_clock::now();
-    const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    const double ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (r == 0 || ms < best) best = ms;
   }
   *makespan = out.makespan();
@@ -190,8 +191,9 @@ int main() {
         record("hdlts-recording", ms, recording_makespan);
         if (nt == 5000 && np == 32) headline_recording = ms;
         if (recording_makespan != opt_makespan) {
-          std::cerr << "FATAL: hdlts with a recording sink (" << recording_makespan
-                    << ") and the null-sink path (" << opt_makespan
+          std::cerr << "FATAL: hdlts with a recording sink ("
+                    << recording_makespan << ") and the null-sink path ("
+                    << opt_makespan
                     << ") disagree on " << nt << " tasks / " << np
                     << " procs\n";
           return 1;

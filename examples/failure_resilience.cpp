@@ -9,6 +9,7 @@
 // default staggered scenario (--fail-proc / --fail-frac tune its first
 // failure). Add --validate to replay the run through check::OnlineValidator.
 #include <iostream>
+#include <limits>
 
 #include "hdlts/check/validate.hpp"
 #include "hdlts/core/online.hpp"
@@ -27,10 +28,13 @@ hdlts::core::ProcFailure parse_fail(const std::string& spec,
                                  "'");
   }
   try {
-    const auto proc =
-        static_cast<hdlts::platform::ProcId>(std::stoul(spec.substr(0, at)));
+    const unsigned long proc = std::stoul(spec.substr(0, at));
+    if (proc > std::numeric_limits<hdlts::platform::ProcId>::max()) {
+      throw hdlts::InvalidArgument("--fail processor id out of range in '" +
+                                   spec + "'");
+    }
     const double frac = std::stod(spec.substr(at + 1));
-    return {proc, clean_makespan * frac};
+    return {static_cast<hdlts::platform::ProcId>(proc), clean_makespan * frac};
   } catch (const hdlts::Error&) {
     throw;
   } catch (const std::exception&) {

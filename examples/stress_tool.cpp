@@ -184,7 +184,8 @@ std::vector<ServeScenario> make_serve_scenarios(
           generator_json(spec) + ",\"failures\":[{\"proc\":0,\"time\":" +
           util::json_number(failure.time) + "}]}";
       scenario.expect =
-          "\"completed\":" + std::string(expected.completed ? "true" : "false") +
+          "\"completed\":" +
+          std::string(expected.completed ? "true" : "false") +
           ",\"makespan\":" + util::json_number(expected.makespan);
     } else {
       const sim::Problem problem(workload);

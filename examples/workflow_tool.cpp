@@ -12,6 +12,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <tuple>
@@ -62,9 +63,8 @@ int usage() {
       "      [--threads=N] [--queue-cap=N] [--out=FILE.jsonl] [--check]\n"
       "      [--trace-out=FILE] [--counters-out=FILE] [--prom-out=FILE]\n"
       "  workflow_tool online FILE [--fail=proc@frac ...] [--validate]\n"
-      "      [--legacy]\n"
       "  workflow_tool stream FILE [FILE ...] [--arrivals=t1,t2,...]\n"
-      "      [--policy=pv|fifo] [--validate] [--legacy]\n"
+      "      [--policy=pv|fifo] [--validate]\n"
       "  workflow_tool serve [--config=key=value,...] [--port-file=FILE]\n"
       "      [--timeline=FILE]   (see docs/SERVICE.md for config keys)\n"
       "  workflow_tool submit [--port=N|--port-file=FILE] [--tenant=T]\n"
@@ -94,10 +94,13 @@ core::ProcFailure parse_fail_spec(const std::string& spec,
     throw InvalidArgument("--fail expects proc@frac, got '" + spec + "'");
   }
   try {
-    const auto proc =
-        static_cast<platform::ProcId>(std::stoul(spec.substr(0, at)));
+    const unsigned long proc = std::stoul(spec.substr(0, at));
+    if (proc > std::numeric_limits<platform::ProcId>::max()) {
+      throw InvalidArgument("--fail processor id out of range in '" + spec +
+                            "'");
+    }
     const double frac = std::stod(spec.substr(at + 1));
-    return {proc, clean_makespan * frac};
+    return {static_cast<platform::ProcId>(proc), clean_makespan * frac};
   } catch (const Error&) {
     throw;
   } catch (const std::exception&) {
@@ -351,9 +354,10 @@ int main(int argc, char** argv) {
         const std::vector<metrics::ParetoPoint> frontier =
             metrics::pareto_frontier(summaries);
         auto on_frontier = [&frontier](const std::string& name) {
-          return std::any_of(
-              frontier.begin(), frontier.end(),
-              [&](const metrics::ParetoPoint& f) { return f.scheduler == name; });
+          return std::any_of(frontier.begin(), frontier.end(),
+                             [&](const metrics::ParetoPoint& f) {
+                               return f.scheduler == name;
+                             });
         };
         std::cout << "{\"objectives\": [\"makespan\", \"energy\", "
                      "\"deadline_miss_rate\"],\n \"deadline_factor\": "
@@ -567,12 +571,7 @@ int main(int argc, char** argv) {
       for (const std::string& spec : cli.get_all("fail")) {
         fails.push_back(parse_fail_spec(spec, clean));
       }
-      // --legacy runs the reference implementation instead of the compiled
-      // path (they are bit-identical; the flag exists for differential
-      // smokes and triage).
-      const core::OnlineResult r =
-          cli.get_bool("legacy", false) ? core::run_online_legacy(w, fails)
-                                        : core::run_online(w, fails);
+      const core::OnlineResult r = core::run_online(w, fails);
       std::cout << "clean makespan  = " << clean
                 << "\nonline makespan = " << r.makespan
                 << "\ncompleted       = " << (r.completed ? "yes" : "no")
@@ -614,10 +613,7 @@ int main(int argc, char** argv) {
         throw InvalidArgument("--policy expects pv or fifo, got '" + policy +
                               "'");
       }
-      const core::StreamResult r =
-          cli.get_bool("legacy", false)
-              ? core::run_stream_legacy(arrivals, stream_options)
-              : core::run_stream(arrivals, stream_options);
+      const core::StreamResult r = core::run_stream(arrivals, stream_options);
       util::Table table({"workflow", "arrival", "finish", "flow time"});
       for (std::size_t w = 0; w < arrivals.size(); ++w) {
         table.add_row({cli.positional()[w + 1],

@@ -13,12 +13,17 @@
 # attached) must stay within HDLTS_NULL_SINK_FACTOR (default 1.02) of the
 # committed baseline, and the recording-sink overhead is reported alongside.
 #
-# bench/micro_dynamic (compiled vs legacy online/stream rescheduling) writes
-# BENCH_dynamic.json: the compiled dynamic paths must stay allocation-free in
-# steady state and the online path must hold >= HDLTS_MIN_DYNAMIC_SPEEDUP
-# (default 3.0) per dynamic decision over the legacy per-phase-rebuild
-# implementation — this bar binds in smoke mode too, because the advantage is
-# algorithmic rather than size-dependent.
+# bench/micro_dynamic (compiled vs naive reference online/stream
+# rescheduling) writes BENCH_dynamic.json: the compiled dynamic paths must
+# stay allocation-free in steady state and the online path must hold
+# >= HDLTS_MIN_DYNAMIC_SPEEDUP per dynamic decision over
+# core::reference_online, which rebuilds a Problem per phase and rescans
+# every row and timeline per decision. The reference's cost per decision
+# grows with graph size, so the bar is set per shape: 9.5x at the full
+# 1000-task shape, 4.9x at the 400-task smoke shape. Each is 3.0x the
+# median ratio of the reference's cost per decision to that of the
+# per-phase-rebuild path it replaced, so the earlier 3.0x bar over that
+# path still holds (CHANGES.md records the runs).
 #
 # Also runs bench/micro_batch (svc::BatchEngine throughput scaling) and diffs
 # BENCH_batch.json: per-thread-count req/s cells against the regression
@@ -42,8 +47,8 @@
 #   HDLTS_NULL_SINK_FACTOR          null-sink telemetry slack   (default 1.02)
 #   HDLTS_MIN_INCREMENTAL_SPEEDUP   hdlts-vs-reference bar      (default 5.0)
 #   HDLTS_BATCH_SPEEDUP_MIN         batch hi-vs-1-thread bar    (default 3.0)
-#   HDLTS_MIN_DYNAMIC_SPEEDUP       online compiled-vs-legacy
-#                                   ns/decision bar             (default 3.0)
+#   HDLTS_MIN_DYNAMIC_SPEEDUP       online compiled-vs-reference
+#                                   ns/decision bar   (default 9.5, smoke 4.9)
 #
 # Tier-1 (`ctest`) is untouched: this script uses its own build directory.
 set -euo pipefail
@@ -72,14 +77,15 @@ if [[ "${MODE}" == "--smoke" ]]; then
   export HDLTS_BATCH_REPS="${HDLTS_BATCH_REPS:-2}"
   export HDLTS_BENCH_MIN_TIME="${HDLTS_BENCH_MIN_TIME:-0.01}"
   # Smoke-sized dynamic cells: same two rows (the diff needs the shapes),
-  # smaller graphs. The >=3x per-decision gate still binds — the compiled
-  # advantage is algorithmic (no per-phase rebuild), not size-dependent.
+  # smaller graphs, where the reference scans shorter timelines — hence
+  # the lower per-decision bar.
   export HDLTS_DYNAMIC_TASKS="${HDLTS_DYNAMIC_TASKS:-400}"
   export HDLTS_DYNAMIC_STREAM_TASKS="${HDLTS_DYNAMIC_STREAM_TASKS:-120}"
   export HDLTS_DYNAMIC_REPS="${HDLTS_DYNAMIC_REPS:-3}"
   FACTOR="${HDLTS_BENCH_REGRESSION_FACTOR:-25.0}"
   NULL_SINK_FACTOR="${HDLTS_NULL_SINK_FACTOR:-5.0}"
   MIN_INCREMENTAL="${HDLTS_MIN_INCREMENTAL_SPEEDUP:-3.0}"
+  MIN_DYNAMIC="${HDLTS_MIN_DYNAMIC_SPEEDUP:-4.9}"
 else
   FACTOR="${HDLTS_BENCH_REGRESSION_FACTOR:-3.0}"
   # Telemetry gate: the null-sink (default) hdlts path must stay within this
@@ -87,9 +93,9 @@ else
   # adds <2%" contract. Skipped when the baseline predates the field.
   NULL_SINK_FACTOR="${HDLTS_NULL_SINK_FACTOR:-1.02}"
   MIN_INCREMENTAL="${HDLTS_MIN_INCREMENTAL_SPEEDUP:-5.0}"
+  MIN_DYNAMIC="${HDLTS_MIN_DYNAMIC_SPEEDUP:-9.5}"
 fi
 BATCH_SPEEDUP_MIN="${HDLTS_BATCH_SPEEDUP_MIN:-3.0}"
-MIN_DYNAMIC="${HDLTS_MIN_DYNAMIC_SPEEDUP:-3.0}"
 
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=Release \
@@ -134,7 +140,7 @@ echo "== running bench/micro_batch (svc::BatchEngine throughput scaling) =="
 (cd "${BUILD_DIR}" && HDLTS_BATCH_JSON=BENCH_batch.json ./bench/micro_batch)
 
 echo
-echo "== running bench/micro_dynamic (compiled vs legacy online/stream) =="
+echo "== running bench/micro_dynamic (compiled vs reference online/stream) =="
 (cd "${BUILD_DIR}" && HDLTS_DYNAMIC_JSON=BENCH_dynamic.json \
   ./bench/micro_dynamic)
 
@@ -404,7 +410,7 @@ speedup = fresh.get("online_dynamic_speedup", 0.0)
 if speedup < min_dynamic:
     print(f"FAIL: online dynamic speedup {speedup:.2f}x < "
           f"{min_dynamic:.1f}x acceptance bar (ns/decision, compiled vs "
-          f"legacy)")
+          f"reference)")
     failed = True
 else:
     print(f"ok: online dynamic speedup {speedup:.2f}x (baseline "

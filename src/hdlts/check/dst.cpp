@@ -8,6 +8,7 @@
 #include "hdlts/check/faultplan.hpp"
 #include "hdlts/check/validate.hpp"
 #include "hdlts/core/periodic.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/graph/algorithms.hpp"
 #include "hdlts/util/rng.hpp"
 #include "hdlts/workload/fft.hpp"
@@ -99,39 +100,39 @@ sim::Workload induced_prefix(const sim::Workload& w,
 }
 
 /// Appends a violation for the first field where the compiled online result
-/// diverges from the legacy reference (exact ==, no tolerance).
+/// diverges from the naive reference (exact ==, no tolerance).
 void diff_online(const core::OnlineResult& compiled,
-                 const core::OnlineResult& legacy,
+                 const core::OnlineResult& reference,
                  std::vector<std::string>* out) {
-  if (compiled.completed != legacy.completed) {
-    out->push_back("compiled/legacy divergence: completed flag");
+  if (compiled.completed != reference.completed) {
+    out->push_back("compiled/reference divergence: completed flag");
     return;
   }
-  if (compiled.makespan != legacy.makespan) {
-    out->push_back("compiled/legacy divergence: makespan " +
+  if (compiled.makespan != reference.makespan) {
+    out->push_back("compiled/reference divergence: makespan " +
                    std::to_string(compiled.makespan) + " vs " +
-                   std::to_string(legacy.makespan));
+                   std::to_string(reference.makespan));
     return;
   }
-  if (compiled.lost_executions != legacy.lost_executions) {
-    out->push_back("compiled/legacy divergence: lost_executions " +
+  if (compiled.lost_executions != reference.lost_executions) {
+    out->push_back("compiled/reference divergence: lost_executions " +
                    std::to_string(compiled.lost_executions) + " vs " +
-                   std::to_string(legacy.lost_executions));
+                   std::to_string(reference.lost_executions));
     return;
   }
-  if (compiled.executions.size() != legacy.executions.size()) {
-    out->push_back("compiled/legacy divergence: execution count " +
+  if (compiled.executions.size() != reference.executions.size()) {
+    out->push_back("compiled/reference divergence: execution count " +
                    std::to_string(compiled.executions.size()) + " vs " +
-                   std::to_string(legacy.executions.size()));
+                   std::to_string(reference.executions.size()));
     return;
   }
   for (std::size_t i = 0; i < compiled.executions.size(); ++i) {
     const core::OnlineExec& a = compiled.executions[i];
-    const core::OnlineExec& b = legacy.executions[i];
+    const core::OnlineExec& b = reference.executions[i];
     if (a.task != b.task || a.proc != b.proc || a.start != b.start ||
         a.finish != b.finish || a.duplicate != b.duplicate ||
         a.lost != b.lost) {
-      out->push_back("compiled/legacy divergence: execution #" +
+      out->push_back("compiled/reference divergence: execution #" +
                      std::to_string(i) + " (task " + std::to_string(a.task) +
                      " vs " + std::to_string(b.task) + ")");
       return;
@@ -141,44 +142,44 @@ void diff_online(const core::OnlineResult& compiled,
 
 /// Same for the stream scheduler.
 void diff_stream(const core::StreamResult& compiled,
-                 const core::StreamResult& legacy,
+                 const core::StreamResult& reference,
                  std::vector<std::string>* out) {
-  if (compiled.makespan != legacy.makespan) {
-    out->push_back("compiled/legacy stream divergence: makespan " +
+  if (compiled.makespan != reference.makespan) {
+    out->push_back("compiled/reference stream divergence: makespan " +
                    std::to_string(compiled.makespan) + " vs " +
-                   std::to_string(legacy.makespan));
+                   std::to_string(reference.makespan));
     return;
   }
-  if (compiled.finish != legacy.finish ||
-      compiled.flow_time != legacy.flow_time) {
-    out->push_back("compiled/legacy stream divergence: per-workflow times");
+  if (compiled.finish != reference.finish ||
+      compiled.flow_time != reference.flow_time) {
+    out->push_back("compiled/reference stream divergence: per-workflow times");
     return;
   }
-  if (compiled.executions.size() != legacy.executions.size()) {
-    out->push_back("compiled/legacy stream divergence: execution count " +
+  if (compiled.executions.size() != reference.executions.size()) {
+    out->push_back("compiled/reference stream divergence: execution count " +
                    std::to_string(compiled.executions.size()) + " vs " +
-                   std::to_string(legacy.executions.size()));
+                   std::to_string(reference.executions.size()));
     return;
   }
   for (std::size_t i = 0; i < compiled.executions.size(); ++i) {
     const core::StreamTaskExec& a = compiled.executions[i];
-    const core::StreamTaskExec& b = legacy.executions[i];
+    const core::StreamTaskExec& b = reference.executions[i];
     if (a.workflow != b.workflow || a.task != b.task || a.proc != b.proc ||
         a.start != b.start || a.finish != b.finish) {
-      out->push_back("compiled/legacy stream divergence: execution #" +
+      out->push_back("compiled/reference stream divergence: execution #" +
                      std::to_string(i));
       return;
     }
   }
-  if (compiled.deadline_missed != legacy.deadline_missed ||
-      compiled.deadline_misses != legacy.deadline_misses ||
-      compiled.hard_deadline_misses != legacy.hard_deadline_misses) {
-    out->push_back("compiled/legacy stream divergence: deadline accounting");
+  if (compiled.deadline_missed != reference.deadline_missed ||
+      compiled.deadline_misses != reference.deadline_misses ||
+      compiled.hard_deadline_misses != reference.hard_deadline_misses) {
+    out->push_back("compiled/reference stream divergence: deadline accounting");
   }
 }
 
 /// Runs one online scenario and returns every complaint, including the
-/// plan's forced-outcome check and the compiled-vs-legacy differential.
+/// plan's forced-outcome check and the compiled-vs-reference differential.
 std::vector<std::string> run_and_validate(
     const sim::Workload& workload, const std::vector<core::ProcFailure>& plan,
     PlanExpectation expect, const core::HdltsOptions& options) {
@@ -195,7 +196,7 @@ std::vector<std::string> run_and_validate(
         "every processor fails at t = 0 but the run completed");
   }
   const core::OnlineResult reference =
-      core::run_online_legacy(workload, plan, options);
+      core::reference_online(workload, plan, options);
   diff_online(result, reference, &violations);
   return violations;
 }
@@ -286,8 +287,9 @@ DstReport run_dst(const DstOptions& options) {
       // Options rotate over the rounds; the PV kind and insertion are
       // offset by the family so every family meets every kind.
       core::HdltsOptions hdlts;
-      hdlts.duplication = (round % 3 == 2) ? core::DuplicationRule::kOff
-                                           : core::DuplicationRule::kAnyChildBenefits;
+      hdlts.duplication = (round % 3 == 2)
+                              ? core::DuplicationRule::kOff
+                              : core::DuplicationRule::kAnyChildBenefits;
       hdlts.dynamic_priorities = round % 2 == 0;
       hdlts.pv = kPvKinds[(family + round) % std::size(kPvKinds)];
       hdlts.insertion = (family + round) % 2 == 1;
@@ -336,8 +338,7 @@ DstReport run_dst(const DstOptions& options) {
         const core::StreamResult sres = core::run_stream(arrivals, sopt);
         const StreamValidator svalidator(sopt);
         auto violations = svalidator.validate(arrivals, sres);
-        const core::StreamResult sref =
-            core::run_stream_legacy(arrivals, sopt);
+        const core::StreamResult sref = core::reference_stream(arrivals, sopt);
         diff_stream(sres, sref, &violations);
         if (violations.empty()) continue;
         DstCounterexample cx;
@@ -356,7 +357,7 @@ DstReport run_dst(const DstOptions& options) {
       if (!options.include_periodic) continue;
       // Periodic round: jittered arrivals with soft/hard deadlines on a
       // pre-occupied platform, replayed through the deadline-aware
-      // validator and the legacy differential.
+      // validator and the reference differential.
       const core::PeriodicStreamParams pparams;
       const core::PeriodicStream periodic = core::make_periodic_stream(
           pparams,
@@ -375,8 +376,8 @@ DstReport run_dst(const DstOptions& options) {
       const StreamValidator pvalidator(sopt);
       auto violations =
           pvalidator.validate(periodic.arrivals, periodic.busy, pres);
-      const core::StreamResult pref = core::run_stream_legacy(
-          periodic.arrivals, sopt, nullptr, periodic.busy);
+      const core::StreamResult pref =
+          core::reference_stream(periodic.arrivals, sopt, periodic.busy);
       diff_stream(pres, pref, &violations);
       if (!violations.empty()) {
         DstCounterexample cx;

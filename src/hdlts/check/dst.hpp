@@ -2,8 +2,8 @@
 //
 // run_dst() sweeps seed × workload family (random / FFT / Montage / MD /
 // fork-join) × fault plan, replays every run through the check validators,
-// diffs it (exact ==) against the legacy dynamic oracles
-// core::run_online_legacy / core::run_stream_legacy, and — when a run
+// diffs it (exact ==) against the naive dynamic references
+// core::reference_online / core::reference_stream, and — when a run
 // violates an invariant, a plan's forced outcome or that diff — emits
 // a *minimized* reproducer: failures are greedily dropped, then the task
 // graph is bisected down a topological prefix, and the derived seed is
@@ -26,8 +26,8 @@ struct DstOptions {
   bool include_stream = true;
   /// Also run a periodic-arrival stream round per cell: jittered arrivals
   /// with soft/hard deadlines and pre-occupied busy intervals, validated
-  /// through the deadline-aware StreamValidator and diffed against the
-  /// legacy stream path (requires include_stream).
+  /// through the deadline-aware StreamValidator and diffed against
+  /// core::reference_stream (requires include_stream).
   bool include_periodic = true;
   /// Shrink counterexamples before reporting (drop failures, bisect tasks).
   bool minimize = true;

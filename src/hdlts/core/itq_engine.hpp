@@ -22,9 +22,11 @@
 // penalty_value builds over the compacted row, so a refresh yields the
 // bits of a full recompute on the surviving processors (identity-padding a
 // dead column instead would change the pairwise summation order). Every
-// mode is bit-identical to its reference: core::ReferenceHdlts
-// (tests/incremental_equiv_test.cpp) and the legacy online/stream runtimes
-// (tests/online_test.cpp, tests/stream_test.cpp, tests/dst_test.cpp).
+// mode is bit-identical to its naive reference in core/reference.hpp, a
+// loop over core::ReferenceItq: core::ReferenceHdlts
+// (tests/incremental_equiv_test.cpp), core::reference_online and
+// core::reference_stream (tests/online_test.cpp, tests/stream_test.cpp,
+// tests/dst_test.cpp).
 #pragma once
 
 #include <algorithm>

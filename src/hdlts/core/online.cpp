@@ -10,15 +10,6 @@ namespace hdlts::core {
 
 namespace {
 
-// PV arithmetic comes from core/pv.hpp (shared with the incremental and
-// reference schedulers, so every HDLTS mode ranks by identical values).
-
-struct ItqEntry {
-  graph::TaskId task = graph::kInvalidTask;
-  std::vector<double> ready;
-  double frozen_pv = 0.0;
-};
-
 void flush_online_metrics(std::size_t lost) {
   static obs::Counter& runs =
       obs::MetricRegistry::global().counter("online.runs");
@@ -28,8 +19,7 @@ void flush_online_metrics(std::size_t lost) {
   lost_count.add(lost);
 }
 
-/// Final ordering, sink flush, and metric flush shared by both paths (this
-/// is where the two implementations must already agree bit for bit).
+/// Final ordering, sink flush, and metric flush of a run.
 void finish_result(OnlineResult& result, obs::DecisionTrace* sink) {
   std::sort(result.executions.begin(), result.executions.end(),
             [](const OnlineExec& a, const OnlineExec& b) {
@@ -52,281 +42,26 @@ void finish_result(OnlineResult& result, obs::DecisionTrace* sink) {
   flush_online_metrics(result.lost_executions);
 }
 
-/// One HDLTS pass over the not-yet-done tasks, starting from the committed
-/// state already placed in `schedule`. New executions start at or after
-/// `phase_start`. Appends the new executions to `out`.
-void run_phase(const sim::Problem& problem, sim::Schedule& schedule,
-               std::vector<bool>& done, double phase_start,
-               const HdltsOptions& options, bool cold,
-               std::vector<OnlineExec>& out) {
-  const auto& g = problem.graph();
-  const auto& procs = problem.procs();
-  const std::size_t np = procs.size();
-
-  std::vector<std::size_t> pending(g.num_tasks(), 0);
-  for (graph::TaskId v = 0; v < g.num_tasks(); ++v) {
-    for (const graph::Adjacent& p : g.parents(v)) {
-      if (!done[p.task]) ++pending[v];
-    }
-  }
-
-  auto eft_of = [&](const ItqEntry& e, std::size_t pi) {
-    const platform::ProcId p = procs[pi];
-    const double duration = problem.exec_time(e.task, p);
-    const double ready = std::max(e.ready[pi], phase_start);
-    const double est =
-        schedule.earliest_start(p, ready, duration, options.insertion);
-    return est + duration;
-  };
-  auto eft_row = [&](const ItqEntry& e) {
-    std::vector<double> row(np);
-    for (std::size_t pi = 0; pi < np; ++pi) row[pi] = eft_of(e, pi);
-    return row;
-  };
-
-  std::vector<ItqEntry> itq;
-  auto push_ready = [&](graph::TaskId v) {
-    ItqEntry e;
-    e.task = v;
-    e.ready.resize(np);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      e.ready[pi] = schedule.ready_time(problem, v, procs[pi]);
-    }
-    if (!options.dynamic_priorities) {
-      e.frozen_pv = penalty_value(options.pv, eft_row(e));
-    }
-    itq.push_back(std::move(e));
-  };
-  for (graph::TaskId v = 0; v < g.num_tasks(); ++v) {
-    if (!done[v] && pending[v] == 0) push_ready(v);
-  }
-
-  const auto entries = g.entry_tasks();
-  const bool unique_entry = entries.size() == 1;
-
-  while (!itq.empty()) {
-    std::vector<double> pv(itq.size());
-    for (std::size_t i = 0; i < itq.size(); ++i) {
-      pv[i] = options.dynamic_priorities
-                  ? penalty_value(options.pv, eft_row(itq[i]))
-                  : itq[i].frozen_pv;
-    }
-    std::size_t pick = 0;
-    for (std::size_t i = 1; i < itq.size(); ++i) {
-      if (pv[i] > pv[pick] ||
-          (pv[i] == pv[pick] && itq[i].task < itq[pick].task)) {
-        pick = i;
-      }
-    }
-    const ItqEntry chosen = std::move(itq[pick]);
-    itq.erase(itq.begin() + static_cast<std::ptrdiff_t>(pick));
-    const auto row = eft_row(chosen);
-    std::size_t best = 0;
-    for (std::size_t pi = 1; pi < np; ++pi) {
-      if (row[pi] < row[best]) best = pi;
-    }
-    const platform::ProcId proc = procs[best];
-    const double finish = row[best];
-    const double start = finish - problem.exec_time(chosen.task, proc);
-    schedule.place(chosen.task, proc, start, finish);
-    out.push_back({chosen.task, proc, start, finish, false, false});
-
-    // Entry duplication only applies on the cold start (all processors
-    // empty); after a failure the machines are busy and Algorithm 1's
-    // "duplicate from t = 0" premise no longer holds.
-    if (cold && unique_entry && chosen.task == entries.front() &&
-        options.duplication != DuplicationRule::kOff &&
-        !g.children(chosen.task).empty()) {
-      for (const platform::ProcId k : procs) {
-        if (k == proc) continue;
-        const double dup_finish = problem.exec_time(chosen.task, k);
-        std::size_t benefits = 0;
-        const auto children = g.children(chosen.task);
-        for (const graph::Adjacent& c : children) {
-          if (dup_finish < finish + problem.comm_time_data(c.data, proc, k)) {
-            ++benefits;
-          }
-        }
-        const bool do_dup =
-            options.duplication == DuplicationRule::kAnyChildBenefits
-                ? benefits > 0
-                : benefits == children.size();
-        if (do_dup) {
-          schedule.place_duplicate(chosen.task, k, 0.0, dup_finish);
-          out.push_back({chosen.task, k, 0.0, dup_finish, true, false});
-        }
-      }
-    }
-
-    for (const graph::Adjacent& c : g.children(chosen.task)) {
-      bool ready = true;
-      for (const graph::Adjacent& p : g.parents(c.task)) {
-        if (!done[p.task] && !schedule.is_placed(p.task)) {
-          ready = false;
-          break;
-        }
-      }
-      // pending-based check: only push when this was the last open parent.
-      if (ready && !schedule.is_placed(c.task)) {
-        bool already = false;
-        for (const ItqEntry& e : itq) {
-          if (e.task == c.task) {
-            already = true;
-            break;
-          }
-        }
-        if (!already) push_ready(c.task);
-      }
-    }
-  }
-}
-
 }  // namespace
 
-OnlineResult run_online_legacy(const sim::Workload& workload,
-                               std::span<const ProcFailure> failures,
-                               const HdltsOptions& options,
-                               obs::DecisionTrace* sink) {
-  sim::Workload state = workload;
-  state.validate();
-  const std::size_t n = state.graph.num_tasks();
-
-  if (sink != nullptr) {
-    sink->on_begin({"online-hdlts", n, state.platform.num_procs()});
-  }
-
-  std::vector<ProcFailure> pending_failures(failures.begin(), failures.end());
-  std::sort(pending_failures.begin(), pending_failures.end(),
-            [](const ProcFailure& a, const ProcFailure& b) {
-              return a.time < b.time;
-            });
-
-  OnlineResult result;
-  std::vector<OnlineExec> committed;  // finished or unstoppable executions
-  std::vector<bool> done(n, false);
-  double phase_start = 0.0;
-  bool cold = true;
-
-  for (;;) {
-    const bool all_done =
-        std::all_of(done.begin(), done.end(), [](bool d) { return d; });
-    // Completion requires the whole fault plan to be consumed: a failure
-    // scheduled after every task acquired a committed copy can still kill a
-    // copy that is running past the failure instant (see the sweep below).
-    if (all_done && pending_failures.empty()) {
-      result.completed = true;
-      break;
-    }
-    if (!all_done && state.platform.num_alive() == 0) {
-      result.completed = false;
-      break;
-    }
-
-    std::vector<OnlineExec> fresh;
-    if (!all_done) {
-      // Rebuild the schedule state from committed executions.
-      const sim::Problem problem(state);
-      sim::Schedule schedule(n, state.platform.num_procs());
-      std::vector<bool> has_primary(n, false);
-      for (const OnlineExec& e : committed) {
-        if (!has_primary[e.task]) {
-          schedule.place(e.task, e.proc, e.start, e.finish);
-          has_primary[e.task] = true;
-        } else {
-          schedule.place_duplicate(e.task, e.proc, e.start, e.finish);
-        }
-      }
-
-      if (sink != nullptr) sink->on_note("online.phase_start", phase_start);
-      run_phase(problem, schedule, done, phase_start, options, cold, fresh);
-      cold = false;
-
-      if (pending_failures.empty()) {
-        for (OnlineExec& e : fresh) committed.push_back(e);
-        for (const OnlineExec& e : committed) {
-          if (!e.duplicate) done[e.task] = true;
-        }
-        result.completed = true;
-        break;
-      }
-    }
-
-    // Apply the next failure: keep what physically happened before it.
-    const ProcFailure fail = pending_failures.front();
-    pending_failures.erase(pending_failures.begin());
-    if (!state.platform.is_alive(fail.proc)) continue;  // duplicate failure
-    if (sink != nullptr) sink->on_note("online.failure", fail.time);
-
-    auto kill = [&](OnlineExec e) {
-      e.lost = true;
-      e.finish = fail.time;
-      result.executions.push_back(e);
-      ++result.lost_executions;
-      if (sink != nullptr) sink->on_note("online.lost_execution", fail.time);
-    };
-
-    for (OnlineExec& e : fresh) {
-      const bool on_failed = e.proc == fail.proc;
-      if (e.finish <= fail.time) {
-        committed.push_back(e);  // finished before the failure
-      } else if (e.start < fail.time) {
-        if (on_failed) {
-          kill(e);  // killed mid-execution; the task is re-queued later
-        } else {
-          committed.push_back(e);  // keeps running on a healthy machine
-        }
-      }
-      // start >= fail.time: revoked silently; the task will be reconsidered.
-    }
-    // An execution committed during an *earlier* failure ("keeps running on
-    // a healthy machine") is not unstoppable forever: if this failure kills
-    // the machine it is still running on, it dies now. Without this sweep a
-    // survivor could overlap its processor's failure time, which the online
-    // validator (check::OnlineValidator) rightly rejects.
-    for (std::size_t i = 0; i < committed.size();) {
-      const OnlineExec& e = committed[i];
-      if (e.proc == fail.proc && e.finish > fail.time) {
-        if (e.start < fail.time) kill(e);
-        committed.erase(committed.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    // A task is done when any committed copy of it completed (a surviving
-    // duplicate covers a lost primary).
-    done.assign(n, false);
-    for (const OnlineExec& e : committed) done[e.task] = true;
-
-    state.platform.set_alive(fail.proc, false);
-    phase_start = std::max(phase_start, fail.time);
-  }
-
-  for (const OnlineExec& e : committed) {
-    result.executions.push_back(e);
-    result.makespan = std::max(result.makespan, e.finish);
-  }
-  finish_result(result, sink);
-  return result;
-}
-
-// Compiled fast path. Same algorithm as run_online_legacy, but every phase
+// Compiled fast path. Same algorithm as core::reference_online, but every phase
 // runs against the workload's single frozen sim::CompiledProblem instead of
 // a freshly compiled per-phase sim::Problem: the per-phase schedule is a
 // recycled reset + replay of the committed executions, and each phase
 // runs core::ItqEngine with the alive columns live and every EST floored
 // at the phase start.
 //
-// Bit-identity with the legacy path (tests/dst_test.cpp, online_test.cpp)
+// Bit-identity with the reference (tests/dst_test.cpp, online_test.cpp)
 // rests on three facts:
 //   * Schedule::ready_time / earliest_start read only placements, never
 //     processor liveness, so the frozen view plus a live-column mask
 //     reproduces the per-phase rebuilt problem exactly;
 //   * a cached EFT cell only goes stale when its processor's timeline
 //     changes, which procs_changed_since reports exactly — so the cached
-//     row always equals the legacy full recompute;
+//     row always equals the reference's full recompute;
 //   * the engine's PV trees pack the alive columns as leaves
 //     (base_for(#alive)), the same tree shape penalty_value builds over the
-//     legacy compacted row — identity-padding dead columns instead would
+//     reference's compacted row — identity-padding dead columns instead would
 //     change the pairwise summation order and the bits.
 void OnlineHdlts::run_into(const sim::Problem& problem,
                            std::span<const ProcFailure> failures,
@@ -374,12 +109,12 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
   double phase_start = 0.0;
   bool cold = true;
 
-  // One HDLTS pass over the not-yet-done tasks (legacy run_phase, on the
-  // compiled substrate). Appends new executions to fresh_.
+  // One HDLTS pass over the not-yet-done tasks. Appends new executions to
+  // fresh_.
   auto run_phase = [&]() {
     itq.restart(alive);
     // Parents not yet done gate each task; the initial ready set is pushed
-    // in ascending task id, exactly like the legacy one-at-a-time scan.
+    // in ascending task id, exactly like the reference's one-at-a-time scan.
     for (graph::TaskId v = 0; v < n; ++v) {
       pending[v] = 0;
       for (const graph::Adjacent& p : cp.parents(v)) {
@@ -517,7 +252,7 @@ void OnlineHdlts::run_into(const sim::Problem& problem,
     }
     // An execution committed during an *earlier* failure is not unstoppable
     // forever: if this failure kills the machine it is still running on, it
-    // dies now (same sweep as the legacy path).
+    // dies now (same sweep as the reference).
     for (std::size_t i = 0; i < committed_.size();) {
       const OnlineExec& e = committed_[i];
       if (e.proc == fail.proc && e.finish > fail.time) {

@@ -20,16 +20,14 @@
 // bit-identical to the static schedule (enforced by check::OnlineValidator
 // and the test suite).
 //
-// Two implementations produce bit-identical results (tests/dst_test.cpp,
-// tests/online_test.cpp):
-//   * the compiled path (OnlineHdlts, behind run_online) runs every phase
-//     against the workload's frozen sim::CompiledProblem through
-//     core::ItqEngine, the ITQ static HDLTS runs on, with the surviving
-//     processors as live columns and every EST floored at the phase start —
-//     after warm-up a run performs zero heap allocations (run_into);
-//   * the legacy path (run_online_legacy) rebuilds a sim::Problem per phase
-//     and recomputes every ITQ row per round — the reference the compiled
-//     path is differential-tested against.
+// OnlineHdlts (behind run_online) runs every phase against the workload's
+// frozen sim::CompiledProblem through core::ItqEngine, the ITQ static HDLTS
+// runs on, with the surviving processors as live columns and every EST
+// floored at the phase start; after warm-up a run performs zero heap
+// allocations (run_into). It is differential-tested bit for bit
+// (tests/online_test.cpp, tests/dst_test.cpp) against core::reference_online
+// (core/reference.hpp), which rebuilds a sim::Problem per phase and drains
+// the naive core::ReferenceItq.
 #pragma once
 
 #include <span>
@@ -104,18 +102,10 @@ class OnlineHdlts {
 /// `sink` (optional) receives the run as structured events: begin, a note
 /// per phase start / applied failure / lost execution, every surviving
 /// execution as a placement, and an end event with the online makespan.
-/// Compiled fast path; bit-identical to run_online_legacy.
+/// Compiled fast path; bit-identical to core::reference_online.
 OnlineResult run_online(const sim::Workload& workload,
                         std::span<const ProcFailure> failures,
                         const HdltsOptions& options = {},
                         obs::DecisionTrace* sink = nullptr);
-
-/// Reference implementation: rebuilds the problem every phase and recomputes
-/// every EFT row per round. Kept as the differential-testing oracle for the
-/// compiled path (and as the allocation negative control).
-OnlineResult run_online_legacy(const sim::Workload& workload,
-                               std::span<const ProcFailure> failures,
-                               const HdltsOptions& options = {},
-                               obs::DecisionTrace* sink = nullptr);
 
 }  // namespace hdlts::core

@@ -37,13 +37,57 @@ double scan_earliest_start(const sim::Schedule& schedule,
   return cursor;
 }
 
-struct RefEntry {
-  graph::TaskId task = graph::kInvalidTask;
-  std::vector<double> ready;
-  double frozen_pv = 0.0;
-};
-
 }  // namespace
+
+ReferenceItq::ReferenceItq(const sim::Problem& problem,
+                           const sim::Schedule& schedule, PvKind pv,
+                           ItqRank rank, bool insertion)
+    : problem_(problem),
+      schedule_(schedule),
+      pv_(pv),
+      rank_(rank),
+      insertion_(insertion) {}
+
+std::vector<double> ReferenceItq::eft_row(const Entry& e) const {
+  const auto& procs = problem_.procs();
+  std::vector<double> row(procs.size());
+  for (std::size_t pi = 0; pi < procs.size(); ++pi) {
+    const double duration = problem_.exec_time(e.task, procs[pi]);
+    row[pi] = scan_earliest_start(schedule_, procs[pi], e.ready[pi], duration,
+                                  insertion_) +
+              duration;
+  }
+  return row;
+}
+
+void ReferenceItq::push(graph::TaskId v, double floor) {
+  Entry e{v, {}, 0.0};
+  for (const platform::ProcId p : problem_.procs()) {
+    e.ready.push_back(std::max(schedule_.ready_time(problem_, v, p), floor));
+  }
+  if (rank_ == ItqRank::kFrozenPv) e.key = penalty_value(pv_, eft_row(e));
+  if (rank_ == ItqRank::kArrivalOrder) e.key = -static_cast<double>(pushes_);
+  ++pushes_;
+  entries_.push_back(std::move(e));
+}
+
+graph::TaskId ReferenceItq::pop(std::vector<double>& row) {
+  if (rank_ == ItqRank::kDynamicPv) {
+    for (Entry& e : entries_) e.key = penalty_value(pv_, eft_row(e));
+  }
+  std::size_t pick = 0;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    if (e.key > entries_[pick].key ||
+        (e.key == entries_[pick].key && e.task < entries_[pick].task)) {
+      pick = i;
+    }
+  }
+  const Entry chosen = std::move(entries_[pick]);
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(pick));
+  row = eft_row(chosen);
+  return chosen.task;
+}
 
 sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
   const auto& g = problem.graph();
@@ -54,37 +98,14 @@ sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
   const auto entries = g.entry_tasks();
   const bool unique_entry = entries.size() == 1;
 
+  ReferenceItq itq(problem, schedule, options_.pv,
+                   options_.dynamic_priorities ? ItqRank::kDynamicPv
+                                               : ItqRank::kFrozenPv,
+                   options_.insertion);
   std::vector<std::size_t> pending(g.num_tasks());
-  std::vector<RefEntry> itq;
-
-  auto eft_row = [&](const RefEntry& e) {
-    std::vector<double> row(np);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      const platform::ProcId p = procs[pi];
-      const double duration = problem.exec_time(e.task, p);
-      const double est = scan_earliest_start(schedule, p, e.ready[pi],
-                                             duration, options_.insertion);
-      row[pi] = est + duration;
-    }
-    return row;
-  };
-
-  auto push_ready = [&](graph::TaskId v) {
-    RefEntry e;
-    e.task = v;
-    e.ready.resize(np);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      e.ready[pi] = schedule.ready_time(problem, v, procs[pi]);
-    }
-    if (!options_.dynamic_priorities) {
-      e.frozen_pv = penalty_value(options_.pv, eft_row(e));
-    }
-    itq.push_back(std::move(e));
-  };
-
   for (graph::TaskId v = 0; v < g.num_tasks(); ++v) {
     pending[v] = g.in_degree(v);
-    if (pending[v] == 0) push_ready(v);
+    if (pending[v] == 0) itq.push(v, 0.0);
   }
 
   auto is_free_task = [&](graph::TaskId v) {
@@ -131,24 +152,9 @@ sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
     }
   };
 
+  std::vector<double> row;
   while (!itq.empty()) {
-    std::vector<double> pv(itq.size());
-    for (std::size_t i = 0; i < itq.size(); ++i) {
-      pv[i] = options_.dynamic_priorities
-                  ? penalty_value(options_.pv, eft_row(itq[i]))
-                  : itq[i].frozen_pv;
-    }
-    std::size_t pick = 0;
-    for (std::size_t i = 1; i < itq.size(); ++i) {
-      if (pv[i] > pv[pick] ||
-          (pv[i] == pv[pick] && itq[i].task < itq[pick].task)) {
-        pick = i;
-      }
-    }
-
-    const RefEntry chosen_entry = std::move(itq[pick]);
-    itq.erase(itq.begin() + static_cast<std::ptrdiff_t>(pick));
-    const auto row = eft_row(chosen_entry);
+    const graph::TaskId chosen = itq.pop(row);
     std::size_t best = 0;
     for (std::size_t pi = 1; pi < np; ++pi) {
       if (row[pi] < row[best]) best = pi;
@@ -163,7 +169,7 @@ sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
       for (std::size_t pi = 0; pi < np; ++pi) {
         if (row[pi] > options_.deadline) continue;
         const platform::ProcId p = procs[pi];
-        const double dyn = problem.exec_time(chosen_entry.task, p) *
+        const double dyn = problem.exec_time(chosen, p) *
                            (plat.busy_power(p) - plat.idle_power(p));
         const double key = row[pi] + options_.energy_weight * dyn;
         if (!eligible || key < best_key) {
@@ -175,14 +181,12 @@ sim::Schedule ReferenceHdlts::schedule(const sim::Problem& problem) const {
     }
     const platform::ProcId proc = procs[best];
     const double finish = row[best];
-    const double start = finish - problem.exec_time(chosen_entry.task, proc);
+    const double start = finish - problem.exec_time(chosen, proc);
 
-    schedule.place(chosen_entry.task, proc, start, finish);
-    if (qualifies_for_duplication(chosen_entry.task)) {
-      duplicate_task(chosen_entry.task);
-    }
-    for (const graph::Adjacent& c : g.children(chosen_entry.task)) {
-      if (--pending[c.task] == 0) push_ready(c.task);
+    schedule.place(chosen, proc, start, finish);
+    if (qualifies_for_duplication(chosen)) duplicate_task(chosen);
+    for (const graph::Adjacent& c : g.children(chosen)) {
+      if (--pending[c.task] == 0) itq.push(c.task, 0.0);
     }
   }
 
@@ -235,6 +239,166 @@ sim::Schedule ReferenceHeft::schedule(const sim::Problem& problem) const {
     schedule.place(v, best_proc, best_est, best_eft);
   }
   return schedule;
+}
+
+OnlineResult reference_online(const sim::Workload& workload,
+                              std::span<const ProcFailure> failures,
+                              const HdltsOptions& options) {
+  sim::Workload state = workload;
+  state.validate();
+  const std::size_t n = state.graph.num_tasks();
+  const auto& g = state.graph;
+  const auto entries = g.entry_tasks();
+  const bool unique_entry = entries.size() == 1;
+
+  std::vector<ProcFailure> plan(failures.begin(), failures.end());
+  std::sort(plan.begin(), plan.end(),
+            [](const ProcFailure& a, const ProcFailure& b) {
+              return a.time < b.time;
+            });
+
+  OnlineResult result;
+  std::vector<OnlineExec> committed;  // finished or unstoppable executions
+  std::vector<bool> done(n, false);
+  double phase_start = 0.0;
+  bool cold = true;
+
+  for (std::size_t next = 0;;) {
+    const bool all_done =
+        std::all_of(done.begin(), done.end(), [](bool d) { return d; });
+    // Completion needs the whole plan applied: a later failure can still
+    // kill a committed copy running past its instant (the sweep below).
+    if (all_done && next == plan.size()) {
+      result.completed = true;
+      break;
+    }
+    if (!all_done && state.platform.num_alive() == 0) break;
+
+    std::vector<OnlineExec> fresh;
+    if (!all_done) {
+      const sim::Problem problem(state);  // the survivors only
+      sim::Schedule schedule(n, state.platform.num_procs());
+      std::vector<bool> has_primary(n, false);
+      for (const OnlineExec& e : committed) {
+        if (!has_primary[e.task]) {
+          schedule.place(e.task, e.proc, e.start, e.finish);
+          has_primary[e.task] = true;
+        } else {
+          schedule.place_duplicate(e.task, e.proc, e.start, e.finish);
+        }
+      }
+
+      ReferenceItq itq(problem, schedule, options.pv,
+                       options.dynamic_priorities ? ItqRank::kDynamicPv
+                                                  : ItqRank::kFrozenPv,
+                       options.insertion);
+      // A task joins the ITQ once every parent is done or placed.
+      auto release = [&](graph::TaskId v) {
+        if (done[v] || schedule.is_placed(v)) return;
+        for (const graph::Adjacent& p : g.parents(v)) {
+          if (!done[p.task] && !schedule.is_placed(p.task)) return;
+        }
+        itq.push(v, phase_start);
+      };
+      for (graph::TaskId v = 0; v < n; ++v) release(v);
+
+      std::vector<double> row;
+      while (!itq.empty()) {
+        const graph::TaskId chosen = itq.pop(row);
+        const std::size_t best = static_cast<std::size_t>(
+            std::min_element(row.begin(), row.end()) - row.begin());
+        const platform::ProcId proc = problem.procs()[best];
+        const double finish = row[best];
+        const double start = finish - problem.exec_time(chosen, proc);
+        schedule.place(chosen, proc, start, finish);
+        fresh.push_back({chosen, proc, start, finish, false, false});
+
+        // Cold-start entry duplication, online's own rule rather than
+        // Algorithm 1's duplicate_task: a copy from t = 0 on each other live
+        // processor where the duplication rule sees children benefit.
+        const auto children = g.children(chosen);
+        if (cold && unique_entry && chosen == entries.front() &&
+            options.duplication != DuplicationRule::kOff &&
+            !children.empty()) {
+          for (const platform::ProcId k : problem.procs()) {
+            if (k == proc) continue;
+            const double dup_finish = problem.exec_time(chosen, k);
+            std::size_t benefits = 0;
+            for (const graph::Adjacent& c : children) {
+              if (dup_finish <
+                  finish + problem.comm_time_data(c.data, proc, k)) {
+                ++benefits;
+              }
+            }
+            if (options.duplication == DuplicationRule::kAnyChildBenefits
+                    ? benefits > 0
+                    : benefits == children.size()) {
+              schedule.place_duplicate(chosen, k, 0.0, dup_finish);
+              fresh.push_back({chosen, k, 0.0, dup_finish, true, false});
+            }
+          }
+        }
+        for (const graph::Adjacent& c : children) release(c.task);
+      }
+      cold = false;
+
+      if (next == plan.size()) {
+        committed.insert(committed.end(), fresh.begin(), fresh.end());
+        result.completed = true;
+        break;
+      }
+    }
+
+    // Apply the next failure: keep what physically happened before it.
+    const ProcFailure fail = plan[next++];
+    if (!state.platform.is_alive(fail.proc)) continue;  // duplicate failure
+    auto kill = [&](OnlineExec e) {
+      e.lost = true;
+      e.finish = fail.time;
+      result.executions.push_back(e);
+      ++result.lost_executions;
+    };
+    for (const OnlineExec& e : fresh) {
+      if (e.finish <= fail.time) {
+        committed.push_back(e);  // finished before the failure
+      } else if (e.start < fail.time) {
+        if (e.proc == fail.proc) {
+          kill(e);  // its task is re-queued by the next phase
+        } else {
+          committed.push_back(e);  // keeps running on a healthy machine
+        }
+      }
+      // start >= fail.time: revoked; the next phase reconsiders the task.
+    }
+    // A copy committed at an earlier failure dies if this one kills the
+    // machine it is still running on.
+    for (std::size_t i = 0; i < committed.size();) {
+      const OnlineExec& e = committed[i];
+      if (e.proc == fail.proc && e.finish > fail.time) {
+        if (e.start < fail.time) kill(e);
+        committed.erase(committed.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
+      }
+    }
+    // Done: any committed copy completed (a duplicate covers a lost primary).
+    done.assign(n, false);
+    for (const OnlineExec& e : committed) done[e.task] = true;
+
+    state.platform.set_alive(fail.proc, false);
+    phase_start = std::max(phase_start, fail.time);
+  }
+
+  for (const OnlineExec& e : committed) {
+    result.executions.push_back(e);
+    result.makespan = std::max(result.makespan, e.finish);
+  }
+  std::sort(result.executions.begin(), result.executions.end(),
+            [](const OnlineExec& a, const OnlineExec& b) {
+              if (a.start != b.start) return a.start < b.start;
+              return a.task < b.task;
+            });
+  return result;
 }
 
 }  // namespace hdlts::core

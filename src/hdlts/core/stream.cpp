@@ -4,21 +4,13 @@
 #include <numeric>
 
 #include "hdlts/core/itq_engine.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/obs/metrics.hpp"
 #include "hdlts/obs/trace.hpp"
 
 namespace hdlts::core {
 
 namespace {
-
-// PV arithmetic comes from core/pv.hpp (shared with the incremental and
-// reference schedulers, so every HDLTS mode ranks by identical values).
-
-struct ItqEntry {
-  graph::TaskId task = graph::kInvalidTask;  // combined id space
-  std::vector<double> ready;                 // per alive processor
-  std::size_t fifo_order = 0;                // arrival order into the ITQ
-};
 
 void flush_stream_metrics(std::size_t workflow_count) {
   static obs::Counter& runs =
@@ -32,7 +24,7 @@ void flush_stream_metrics(std::size_t workflow_count) {
 }  // namespace
 
 /// The frozen stream: the merged workload plus the per-task arrival floors
-/// and id-space bookkeeping both implementations share.
+/// and id-space bookkeeping StreamHdlts and reference_stream share.
 struct detail::FrozenStream {
   sim::Workload workload;
   std::vector<double> floor;        // per combined task: arrival of its owner
@@ -126,12 +118,15 @@ detail::FrozenStream build_combined(std::span<const StreamArrival> arrivals,
     }
   }
 
-  // Arrival phases in time order.
+  // Arrival phases in time order, equal times in list order.
   out.phase_order.resize(arrivals.size());
   std::iota(out.phase_order.begin(), out.phase_order.end(), 0);
   std::sort(out.phase_order.begin(), out.phase_order.end(),
             [&](std::size_t a, std::size_t b) {
-              return arrivals[a].arrival < arrivals[b].arrival;
+              if (arrivals[a].arrival != arrivals[b].arrival) {
+                return arrivals[a].arrival < arrivals[b].arrival;
+              }
+              return a < b;
             });
   out.arrival.resize(arrivals.size());
   out.deadline.resize(arrivals.size());
@@ -146,9 +141,8 @@ detail::FrozenStream build_combined(std::span<const StreamArrival> arrivals,
   return out;
 }
 
-/// Deadline bookkeeping shared by both implementations: compares each
-/// workflow's finish against its (absolute) deadline with strict >, so the
-/// compiled and legacy paths stay exactly == on every new field.
+/// Deadline bookkeeping: compares each workflow's finish against its
+/// (absolute) deadline with strict >.
 void account_deadlines(const std::vector<double>& deadline,
                        const std::vector<unsigned char>& hard,
                        StreamResult& out) {
@@ -164,151 +158,88 @@ void account_deadlines(const std::vector<double>& deadline,
   }
 }
 
-/// Pins the pre-occupied intervals onto a freshly reset schedule; the same
-/// call order in both paths keeps their timelines bit-identical.
+/// Pins the pre-occupied intervals onto a freshly reset schedule.
 void apply_busy(std::span<const BusyInterval> busy, sim::Schedule& schedule) {
   for (const BusyInterval& b : busy) {
     schedule.place_busy(b.proc, b.start, b.finish);
   }
 }
 
-}  // namespace
-
-StreamResult run_stream_legacy(std::span<const StreamArrival> arrivals,
-                               const StreamOptions& options,
-                               obs::DecisionTrace* sink,
-                               std::span<const BusyInterval> busy) {
-  const detail::FrozenStream frozen = build_combined(arrivals, busy);
-  const std::size_t num_procs = frozen.workload.platform.num_procs();
-  const std::size_t total = frozen.workload.graph.num_tasks();
-  const std::vector<double>& floor = frozen.floor;
-
-  const sim::Problem problem(frozen.workload);
-  const auto& procs = problem.procs();
-  const std::size_t np = procs.size();
-
-  if (sink != nullptr) {
-    sink->on_begin({options.policy == StreamPolicy::kHdltsPv ? "stream-hdlts"
-                                                             : "stream-fifo",
-                    total, num_procs});
-  }
-
-  sim::Schedule schedule(total, num_procs);
-  apply_busy(frozen.busy, schedule);
-  std::vector<std::size_t> pending(total, 0);
-  std::vector<bool> released(total, false);
-  std::vector<ItqEntry> itq;
-  std::size_t fifo_counter = 0;
-
-  auto eft_of = [&](const ItqEntry& e, std::size_t pi) {
-    const platform::ProcId p = procs[pi];
-    const double duration = problem.exec_time(e.task, p);
-    const double ready = std::max(e.ready[pi], floor[e.task]);
-    const double est = std::max(ready, schedule.proc_available(p));
-    return est + duration;
-  };
-  auto push_ready = [&](graph::TaskId v) {
-    ItqEntry e;
-    e.task = v;
-    e.ready.resize(np);
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      e.ready[pi] = schedule.ready_time(problem, v, procs[pi]);
-    }
-    e.fifo_order = fifo_counter++;
-    itq.push_back(std::move(e));
-  };
-
-  auto drain_itq = [&]() {
-    while (!itq.empty()) {
-      std::size_t pick = 0;
-      if (options.policy == StreamPolicy::kHdltsPv) {
-        std::vector<double> pv(itq.size());
-        for (std::size_t i = 0; i < itq.size(); ++i) {
-          std::vector<double> row(np);
-          for (std::size_t pi = 0; pi < np; ++pi) row[pi] = eft_of(itq[i], pi);
-          pv[i] = penalty_value(options.pv, row);
-        }
-        for (std::size_t i = 1; i < itq.size(); ++i) {
-          if (pv[i] > pv[pick] ||
-              (pv[i] == pv[pick] && itq[i].task < itq[pick].task)) {
-            pick = i;
-          }
-        }
-      } else {
-        for (std::size_t i = 1; i < itq.size(); ++i) {
-          if (itq[i].fifo_order < itq[pick].fifo_order) pick = i;
-        }
-      }
-      const ItqEntry chosen = std::move(itq[pick]);
-      itq.erase(itq.begin() + static_cast<std::ptrdiff_t>(pick));
-      std::size_t best = 0;
-      double best_eft = eft_of(chosen, 0);
-      for (std::size_t pi = 1; pi < np; ++pi) {
-        const double eft = eft_of(chosen, pi);
-        if (eft < best_eft) {
-          best_eft = eft;
-          best = pi;
-        }
-      }
-      const platform::ProcId proc = procs[best];
-      const double start = best_eft - problem.exec_time(chosen.task, proc);
-      schedule.place(chosen.task, proc, start, best_eft);
-      if (sink != nullptr) {
-        sink->on_placement({chosen.task, proc, start, best_eft, false});
-      }
-      for (const graph::Adjacent& c : problem.graph().children(chosen.task)) {
-        if (released[c.task] && --pending[c.task] == 0) push_ready(c.task);
-      }
-    }
-  };
-
-  for (const std::size_t w : frozen.phase_order) {
-    if (sink != nullptr) sink->on_note("stream.arrival", arrivals[w].arrival);
-    // Release workflow w's tasks into the scheduler's universe.
-    for (std::size_t t = frozen.offset[w]; t < frozen.offset[w + 1]; ++t) {
-      const auto v = static_cast<graph::TaskId>(t);
-      released[v] = true;
-      pending[v] = 0;
-      for (const graph::Adjacent& p : problem.graph().parents(v)) {
-        if (!schedule.is_placed(p.task)) ++pending[v];
-      }
-      if (pending[v] == 0) push_ready(v);
-    }
-    drain_itq();
-  }
-
+/// Maps a fully placed combined schedule back to per-workflow executions,
+/// finish and flow times and deadline flags (recycling `out`'s storage).
+void assemble_result(const detail::FrozenStream& frozen,
+                     const sim::Schedule& schedule, StreamResult& out) {
+  const std::size_t total = schedule.num_tasks();
+  const std::size_t num_workflows = frozen.arrival.size();
   HDLTS_ENSURES(schedule.num_placed() == total);
-  StreamResult result;
-  result.finish.assign(arrivals.size(), 0.0);
-  result.flow_time.assign(arrivals.size(), 0.0);
+  out.executions.clear();
+  out.makespan = 0.0;
+  out.finish.assign(num_workflows, 0.0);
+  out.flow_time.assign(num_workflows, 0.0);
   for (std::size_t t = 0; t < total; ++t) {
     const auto v = static_cast<graph::TaskId>(t);
     const sim::Placement& pl = schedule.placement(v);
-    result.executions.push_back(
+    out.executions.push_back(
         {frozen.owner[t],
          static_cast<graph::TaskId>(t - frozen.offset[frozen.owner[t]]),
          pl.proc, pl.start, pl.finish});
-    result.finish[frozen.owner[t]] =
-        std::max(result.finish[frozen.owner[t]], pl.finish);
-    result.makespan = std::max(result.makespan, pl.finish);
+    out.finish[frozen.owner[t]] =
+        std::max(out.finish[frozen.owner[t]], pl.finish);
+    out.makespan = std::max(out.makespan, pl.finish);
   }
-  for (std::size_t w = 0; w < arrivals.size(); ++w) {
-    result.flow_time[w] = result.finish[w] - arrivals[w].arrival;
+  for (std::size_t w = 0; w < num_workflows; ++w) {
+    out.flow_time[w] = out.finish[w] - frozen.arrival[w];
   }
-  account_deadlines(frozen.deadline, frozen.hard, result);
-  std::sort(result.executions.begin(), result.executions.end(),
+  account_deadlines(frozen.deadline, frozen.hard, out);
+  std::sort(out.executions.begin(), out.executions.end(),
             [](const StreamTaskExec& a, const StreamTaskExec& b) {
               if (a.start != b.start) return a.start < b.start;
               return a.task < b.task;
             });
+}
 
-  if (sink != nullptr) {
-    obs::ScheduleEndEvent end;
-    end.makespan = result.makespan;
-    end.steps = total;
-    sink->on_end(end);
+}  // namespace
+
+StreamResult reference_stream(std::span<const StreamArrival> arrivals,
+                              const StreamOptions& options,
+                              std::span<const BusyInterval> busy) {
+  const detail::FrozenStream frozen = build_combined(arrivals, busy);
+  const sim::Problem problem(frozen.workload);
+  const auto& g = problem.graph();
+  sim::Schedule schedule(problem.num_tasks(), problem.num_procs());
+  apply_busy(frozen.busy, schedule);
+  // The stream never inserts into idle gaps.
+  ReferenceItq itq(problem, schedule, options.pv,
+                   options.policy == StreamPolicy::kHdltsPv
+                       ? ItqRank::kDynamicPv
+                       : ItqRank::kArrivalOrder,
+                   /*insertion=*/false);
+  // A workflow's edges stay inside it, so a task is ready once every parent
+  // is placed, and never before its workflow is released.
+  auto release = [&](graph::TaskId v) {
+    for (const graph::Adjacent& p : g.parents(v)) {
+      if (!schedule.is_placed(p.task)) return;
+    }
+    itq.push(v, frozen.floor[v]);
+  };
+
+  std::vector<double> row;
+  for (const std::size_t w : frozen.phase_order) {
+    for (std::size_t t = frozen.offset[w]; t < frozen.offset[w + 1]; ++t) {
+      release(static_cast<graph::TaskId>(t));
+    }
+    while (!itq.empty()) {
+      const graph::TaskId v = itq.pop(row);
+      const std::size_t best = static_cast<std::size_t>(
+          std::min_element(row.begin(), row.end()) - row.begin());
+      const platform::ProcId proc = problem.procs()[best];
+      schedule.place(v, proc, row[best] - problem.exec_time(v, proc),
+                     row[best]);
+      for (const graph::Adjacent& c : g.children(v)) release(c.task);
+    }
   }
-  flush_stream_metrics(arrivals.size());
+  StreamResult result;
+  assemble_result(frozen, schedule, result);
   return result;
 }
 
@@ -330,11 +261,11 @@ const sim::Workload& StreamHdlts::combined() const {
   return frozen_->workload;
 }
 
-// Compiled fast path. Same algorithm as run_stream_legacy, but the drain
+// Compiled fast path. Same algorithm as reference_stream, but the drain
 // loop runs core::ItqEngine against the frozen combined
 // sim::CompiledProblem, with every column live and each task's EST floored
 // at its workflow's arrival. The FIFO policy ranks by push order and keeps
-// no PV state, exactly like the legacy path.
+// no PV state, exactly like the reference.
 void StreamHdlts::run_into(StreamResult& out, obs::DecisionTrace* sink) {
   HDLTS_EXPECTS(problem_.has_value());
   const detail::FrozenStream& frozen = *frozen_;
@@ -355,7 +286,7 @@ void StreamHdlts::run_into(StreamResult& out, obs::DecisionTrace* sink) {
   schedule_.reset(total, cp.num_procs());
   sim::Schedule& schedule = schedule_;
   apply_busy(frozen.busy, schedule);
-  // The stream never inserts into idle gaps (the legacy EST is
+  // The stream never inserts into idle gaps (its EST is
   // max(ready, proc_available)).
   ItqEngine itq(arena, cp, schedule, options_.pv,
                 use_pv ? ItqRank::kDynamicPv : ItqRank::kArrivalOrder,
@@ -400,31 +331,7 @@ void StreamHdlts::run_into(StreamResult& out, obs::DecisionTrace* sink) {
     }
   }
 
-  HDLTS_ENSURES(schedule.num_placed() == total);
-  out.executions.clear();
-  out.makespan = 0.0;
-  out.finish.assign(num_workflows, 0.0);
-  out.flow_time.assign(num_workflows, 0.0);
-  for (std::size_t t = 0; t < total; ++t) {
-    const auto v = static_cast<graph::TaskId>(t);
-    const sim::Placement& pl = schedule.placement(v);
-    out.executions.push_back(
-        {frozen.owner[t],
-         static_cast<graph::TaskId>(t - frozen.offset[frozen.owner[t]]),
-         pl.proc, pl.start, pl.finish});
-    out.finish[frozen.owner[t]] =
-        std::max(out.finish[frozen.owner[t]], pl.finish);
-    out.makespan = std::max(out.makespan, pl.finish);
-  }
-  for (std::size_t w = 0; w < num_workflows; ++w) {
-    out.flow_time[w] = out.finish[w] - frozen.arrival[w];
-  }
-  account_deadlines(frozen.deadline, frozen.hard, out);
-  std::sort(out.executions.begin(), out.executions.end(),
-            [](const StreamTaskExec& a, const StreamTaskExec& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.task < b.task;
-            });
+  assemble_result(frozen, schedule, out);
 
   if (sink != nullptr) {
     obs::ScheduleEndEvent end;

@@ -10,16 +10,18 @@
 // Assignments are non-preemptive and never revoked (contrast with the
 // failure path in hdlts/core/online.hpp, which does revoke).
 //
-// Two implementations produce bit-identical results (tests/stream_test.cpp,
-// tests/dst_test.cpp):
-//   * the compiled path (StreamHdlts, behind run_stream) merges
-//     the arrivals once into a combined CSR sim::CompiledProblem (the
-//     combiner reserves exact task/edge counts) and schedules it through
-//     core::ItqEngine, the ITQ static HDLTS runs on, with each task's EST
-//     floored at its workflow's arrival; once frozen, repeated run_into()
-//     calls perform zero heap allocations;
-//   * the legacy path (run_stream_legacy) recomputes every ITQ row per
-//     round — the reference the compiled path is tested against.
+// Workflows are released in arrival order; equal arrival times release in
+// list order, each workflow's ready tasks drained before the next is
+// released.
+//
+// StreamHdlts (behind run_stream) merges the arrivals once into a combined
+// CSR sim::CompiledProblem (the combiner reserves exact task/edge counts)
+// and schedules it through core::ItqEngine, the ITQ static HDLTS runs on,
+// with each task's EST floored at its workflow's arrival; once frozen,
+// repeated run_into() calls perform zero heap allocations. It is
+// differential-tested bit for bit (tests/stream_test.cpp,
+// tests/dst_test.cpp) against core::reference_stream (core/reference.hpp),
+// which drains the naive core::ReferenceItq.
 #pragma once
 
 #include <limits>
@@ -151,18 +153,10 @@ class StreamHdlts {
 /// space), and an end event with the stream makespan; exported through
 /// obs::write_chrome_trace this reconstructs the per-processor lanes even
 /// though no sim::Schedule is returned. Compiled fast path; bit-identical
-/// to run_stream_legacy.
+/// to core::reference_stream.
 StreamResult run_stream(std::span<const StreamArrival> arrivals,
                         const StreamOptions& options = {},
                         obs::DecisionTrace* sink = nullptr,
                         std::span<const BusyInterval> busy = {});
-
-/// Reference implementation: recomputes every EFT row and PV per round.
-/// Kept as the differential-testing oracle for the compiled path (and as
-/// the allocation negative control).
-StreamResult run_stream_legacy(std::span<const StreamArrival> arrivals,
-                               const StreamOptions& options = {},
-                               obs::DecisionTrace* sink = nullptr,
-                               std::span<const BusyInterval> busy = {});
 
 }  // namespace hdlts::core

@@ -18,7 +18,8 @@ struct DotOptions {
 };
 
 /// Writes the graph in Graphviz DOT syntax.
-void write_dot(std::ostream& os, const TaskGraph& g, const DotOptions& options = {});
+void write_dot(std::ostream& os, const TaskGraph& g,
+               const DotOptions& options = {});
 
 /// Convenience overload returning the DOT text.
 std::string to_dot(const TaskGraph& g, const DotOptions& options = {});

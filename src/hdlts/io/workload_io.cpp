@@ -27,7 +27,7 @@ void write_workload(std::ostream& os, const sim::Workload& w) {
   }
 }
 
-sim::Workload read_workload(std::istream& is) {
+sim::Workload read_workload(std::istream& is, const ReadLimits& limits) {
   // The graph section comes first; buffer the remaining directives because
   // graph::read_text consumes the stream to the end. We therefore split by
   // record kind ourselves.
@@ -46,6 +46,9 @@ sim::Workload read_workload(std::istream& is) {
   }
   std::istringstream graph_is(graph_part.str());
   graph::TaskGraph g = graph::read_text(graph_is);
+  if (g.num_tasks() > limits.max_tasks) {
+    throw LimitExceeded("workload exceeds max_tasks");
+  }
 
   std::optional<std::size_t> num_procs;
   std::vector<std::string> cost_lines;
@@ -67,6 +70,9 @@ sim::Workload read_workload(std::istream& is) {
     }
   }
   if (!num_procs) throw InvalidArgument("workload file lacks platform line");
+  if (*num_procs > limits.max_procs) {
+    throw LimitExceeded("workload exceeds max_procs");
+  }
 
   platform::Platform platform(*num_procs);
   for (const std::string& l : bw_lines) {

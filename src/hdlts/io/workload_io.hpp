@@ -8,14 +8,29 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <string>
 
 #include "hdlts/sim/problem.hpp"
 
 namespace hdlts::io {
 
+/// Size caps read_workload checks before it builds the platform or the cost
+/// table; the defaults accept any file.
+struct ReadLimits {
+  std::size_t max_tasks = std::numeric_limits<std::size_t>::max();
+  std::size_t max_procs = std::numeric_limits<std::size_t>::max();
+};
+
+/// Thrown by read_workload when the text declares more tasks or processors
+/// than its ReadLimits allow.
+class LimitExceeded : public InvalidArgument {
+ public:
+  using InvalidArgument::InvalidArgument;
+};
+
 void write_workload(std::ostream& os, const sim::Workload& w);
-sim::Workload read_workload(std::istream& is);
+sim::Workload read_workload(std::istream& is, const ReadLimits& limits = {});
 
 void save_workload(const std::string& path, const sim::Workload& w);
 sim::Workload load_workload(const std::string& path);

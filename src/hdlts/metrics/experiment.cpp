@@ -235,9 +235,9 @@ bool pareto_dominates(const ParetoPoint& a, const ParetoPoint& b) {
 std::vector<ParetoPoint> pareto_frontier(std::span<const ParetoPoint> points) {
   std::vector<ParetoPoint> out;
   for (const ParetoPoint& p : points) {
-    const bool dominated =
-        std::any_of(points.begin(), points.end(),
-                    [&](const ParetoPoint& q) { return pareto_dominates(q, p); });
+    const bool dominated = std::any_of(
+        points.begin(), points.end(),
+        [&](const ParetoPoint& q) { return pareto_dominates(q, p); });
     if (!dominated) out.push_back(p);
   }
   std::sort(out.begin(), out.end(), [](const ParetoPoint& a,
@@ -263,7 +263,8 @@ std::vector<ParetoPoint> pareto_points(
 
 std::vector<ParetoPoint> pareto_frontier(
     const std::vector<SchedulerSummary>& summaries) {
-  return pareto_frontier(std::span<const ParetoPoint>(pareto_points(summaries)));
+  return pareto_frontier(
+      std::span<const ParetoPoint>(pareto_points(summaries)));
 }
 
 std::vector<std::vector<double>> win_matrix(

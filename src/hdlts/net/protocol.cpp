@@ -1,6 +1,7 @@
 #include "hdlts/net/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -139,16 +140,11 @@ sim::Workload parse_inline_workload(const util::JsonValue& v,
   }
   std::istringstream is(text);
   try {
-    sim::Workload w = io::read_workload(is);
-    if (w.graph.num_tasks() > limits.max_tasks) {
-      fail(ErrorCode::kOverLimits, "inline workload exceeds max_tasks");
-    }
-    if (w.platform.num_procs() > limits.max_procs) {
-      fail(ErrorCode::kOverLimits, "inline workload exceeds max_procs");
-    }
-    return w;
-  } catch (const ProtocolError&) {
-    throw;
+    // The caps are checked before the platform's P x P bandwidths and the
+    // V x P cost table are allocated.
+    return io::read_workload(is, {limits.max_tasks, limits.max_procs});
+  } catch (const io::LimitExceeded& e) {
+    fail(ErrorCode::kOverLimits, std::string("inline ") + e.what());
   } catch (const std::exception& e) {
     fail(ErrorCode::kMalformedRequest,
          std::string("bad inline workload: ") + e.what());
@@ -417,8 +413,11 @@ ParsedRequest parse_request(std::string_view frame, const Limits& limits) {
           if (proc == nullptr) {
             fail(ErrorCode::kMalformedRequest, "failure needs a proc");
           }
-          failure.proc =
-              static_cast<platform::ProcId>(as_uint(*proc, "failure.proc"));
+          const std::uint64_t proc_id = as_uint(*proc, "failure.proc");
+          if (proc_id > std::numeric_limits<platform::ProcId>::max()) {
+            fail(ErrorCode::kMalformedRequest, "failure.proc out of range");
+          }
+          failure.proc = static_cast<platform::ProcId>(proc_id);
           if (const auto* time = entry.find("time"); time != nullptr) {
             failure.time = as_double(*time, "failure.time");
             if (!(failure.time >= 0)) {

@@ -53,7 +53,8 @@ sim::Schedule Dheft::schedule(const sim::Problem& problem) const {
             pl.finish + problem.comm_time_data(parent.data, pl.proc, p);
         for (const sim::Placement& d : schedule.duplicates(parent.task)) {
           arrival = std::min(
-              arrival, d.finish + problem.comm_time_data(parent.data, d.proc, p));
+              arrival,
+              d.finish + problem.comm_time_data(parent.data, d.proc, p));
         }
         if (arrival > crit_arrival) {
           crit_arrival = arrival;

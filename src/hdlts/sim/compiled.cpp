@@ -100,7 +100,9 @@ CompiledProblem::CompiledProblem(const graph::TaskGraph& g,
   }
 
   total_static_power_ = 0.0;
-  for (const platform::ProcId p : procs_) total_static_power_ += static_power_[p];
+  for (const platform::ProcId p : procs_) {
+    total_static_power_ += static_power_[p];
+  }
 }
 
 double CompiledProblem::edge_data(graph::TaskId u, graph::TaskId v) const {

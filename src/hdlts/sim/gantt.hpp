@@ -20,7 +20,8 @@ struct GanttOptions {
 void write_gantt(std::ostream& os, const Schedule& schedule,
                  const GanttOptions& options = {});
 
-std::string to_gantt(const Schedule& schedule, const GanttOptions& options = {});
+std::string to_gantt(const Schedule& schedule,
+                     const GanttOptions& options = {});
 
 /// CSV with one row per placement: task,name,proc,start,finish,duplicate.
 void write_placements_csv(std::ostream& os, const Schedule& schedule,

@@ -146,7 +146,8 @@ double ready_time_impl(const Schedule& schedule,
         pl.finish + problem.comm_time_data(parent.data, pl.proc, proc);
     for (const Placement& d : dup[parent.task]) {
       arrival = std::min(
-          arrival, d.finish + problem.comm_time_data(parent.data, d.proc, proc));
+          arrival,
+          d.finish + problem.comm_time_data(parent.data, d.proc, proc));
     }
     ready = std::max(ready, arrival);
   }

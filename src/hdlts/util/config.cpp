@@ -32,9 +32,10 @@ Config::Config(std::string_view text) {
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const std::size_t comma = text.find(',', pos);
-    const std::string_view segment = trim(
-        text.substr(pos, comma == std::string_view::npos ? std::string_view::npos
-                                                         : comma - pos));
+    const std::string_view segment =
+        trim(text.substr(pos, comma == std::string_view::npos
+                                  ? std::string_view::npos
+                                  : comma - pos));
     pos = comma == std::string_view::npos ? text.size() + 1 : comma + 1;
     if (segment.empty()) continue;
     const std::size_t eq = segment.find('=');

@@ -67,7 +67,9 @@ void ReductionTree::assign(std::span<const double> xs) {
 }
 
 void ReductionTree::update(std::size_t i, double x) {
-  if (i >= n_) throw InvalidArgument("reduction tree update: leaf out of range");
+  if (i >= n_) {
+    throw InvalidArgument("reduction tree update: leaf out of range");
+  }
   tree_ops::update(op_, node_, base_, i, x);
 }
 

@@ -73,8 +73,8 @@ graph::TaskGraph random_structure(const RandomDagParams& params,
     for (const graph::TaskId t : level_tasks[l]) {
       // Out-degree ~ U[1, 2*density - 1], mean = density (counting the
       // mandatory child edges this task may already have received).
-      const auto want = static_cast<std::size_t>(
-          rng.uniform_int(1, 2 * static_cast<std::int64_t>(params.density) - 1));
+      const auto want = static_cast<std::size_t>(rng.uniform_int(
+          1, 2 * static_cast<std::int64_t>(params.density) - 1));
       std::size_t have = g.out_degree(t);
       for (std::size_t attempt = 0; have < want && attempt < 4 * want;
            ++attempt) {

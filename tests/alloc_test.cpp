@@ -333,25 +333,25 @@ TEST(ZeroAlloc, StreamDeadlineBusySteadyState) {
   EXPECT_GT(out.deadline_misses, 0u);  // the 40.0 hard deadline is unmeetable
 }
 
-TEST(ZeroAlloc, OnlineLegacyPathStillAllocates) {
-  // Negative control for the dynamic measurement: the legacy online path
+TEST(ZeroAlloc, OnlineReferencePathStillAllocates) {
+  // Negative control for the dynamic measurement: the online reference
   // rebuilds a sim::Problem per phase and per-round vectors every call.
   const sim::Workload w = make_workload(300, 8, 19);
   const std::vector<core::ProcFailure> failures{{1, 25.0}};
-  (void)core::run_online_legacy(w, failures);  // warm allocator caches
+  (void)core::reference_online(w, failures);  // warm allocator caches
   const auto before = tests::alloc_counters();
-  (void)core::run_online_legacy(w, failures);
+  (void)core::reference_online(w, failures);
   const auto after = tests::alloc_counters();
   EXPECT_GT(after.allocations - before.allocations, 0u);
 }
 
-TEST(ZeroAlloc, StreamLegacyPathStillAllocates) {
+TEST(ZeroAlloc, StreamReferencePathStillAllocates) {
   std::vector<core::StreamArrival> arrivals;
   arrivals.push_back({make_workload(120, 6, 23), 0.0});
   arrivals.push_back({make_workload(120, 6, 24), 30.0});
-  (void)core::run_stream_legacy(arrivals);  // warm allocator caches
+  (void)core::reference_stream(arrivals);  // warm allocator caches
   const auto before = tests::alloc_counters();
-  (void)core::run_stream_legacy(arrivals);
+  (void)core::reference_stream(arrivals);
   const auto after = tests::alloc_counters();
   EXPECT_GT(after.allocations - before.allocations, 0u);
 }

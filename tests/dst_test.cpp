@@ -43,12 +43,13 @@ TEST(DstTest, SweepFindsNoViolations) {
   // rounds x nine plans clears 200 validated fault-injection runs.
   EXPECT_GE(report.online_runs, 200u);
   // Two ITQ policies per (family, round) cell.
-  EXPECT_GE(report.stream_runs, 2u * 5u * std::min<std::size_t>(options.rounds, 5));
+  EXPECT_GE(report.stream_runs,
+            2u * 5u * std::min<std::size_t>(options.rounds, 5));
 }
 
-TEST(DstTest, SweepComparesCompiledAgainstLegacyByDefault) {
-  // The compiled/legacy differential is part of every sweep: every online
-  // cell and both stream policies replay through the legacy reference
+TEST(DstTest, SweepComparesCompiledAgainstReferenceByDefault) {
+  // The compiled/reference differential is part of every sweep: every
+  // online cell and both stream policies replay through the naive reference
   // schedulers and ==-compare executions, makespan, and lost counts.
   // Divergence surfaces as a counterexample.
   check::DstOptions options;

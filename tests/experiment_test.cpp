@@ -49,8 +49,10 @@ TEST(Experiment, DeterministicAcrossRuns) {
   const sched::Registry reg = core::default_registry();
   CompareOptions opt;
   opt.repetitions = 6;
-  const auto a = compare_schedulers(small_random_factory(), {"hdlts"}, reg, opt);
-  const auto b = compare_schedulers(small_random_factory(), {"hdlts"}, reg, opt);
+  const auto a =
+      compare_schedulers(small_random_factory(), {"hdlts"}, reg, opt);
+  const auto b =
+      compare_schedulers(small_random_factory(), {"hdlts"}, reg, opt);
   EXPECT_DOUBLE_EQ(a[0].slr.mean(), b[0].slr.mean());
   EXPECT_DOUBLE_EQ(a[0].makespan.mean(), b[0].makespan.mean());
 }
@@ -62,8 +64,8 @@ TEST(Experiment, PoolAndSerialAgreeExactly) {
   util::ThreadPool pool(4);
   CompareOptions parallel = serial;
   parallel.pool = &pool;
-  const auto a =
-      compare_schedulers(small_random_factory(), {"hdlts", "heft"}, reg, serial);
+  const auto a = compare_schedulers(small_random_factory(), {"hdlts", "heft"},
+                                    reg, serial);
   const auto b = compare_schedulers(small_random_factory(), {"hdlts", "heft"},
                                     reg, parallel);
   for (std::size_t i = 0; i < a.size(); ++i) {

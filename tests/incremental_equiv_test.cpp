@@ -7,7 +7,7 @@
 // priorities, the weighted energy/deadline selection rule on heterogeneous
 // processor powers, and dead-processor subsets. The O(1) Schedule caches
 // are also re-verified against full timeline scans after every run. The
-// fault-free legacy online path and the traced HDLTS run are pinned to the
+// fault-free online reference and the traced HDLTS run are pinned to the
 // same schedules.
 #include <gtest/gtest.h>
 
@@ -262,11 +262,11 @@ void expect_online_matches(const core::OnlineResult& got,
   EXPECT_EQ(duplicates, want_duplicates) << what;
 }
 
-TEST(IncrementalEquivalence, OnlineLegacyFaultFreeMatchesReference) {
-  // The retained legacy path is run_online_legacy, the dynamic oracle that
-  // OnlineHdlts and DST are diffed against. With no failures its cold phase
-  // is the whole run, so it must equal the static reference schedule. That
-  // closes the triangle compiled == legacy (online_test, dst_test) ==
+TEST(IncrementalEquivalence, OnlineReferenceFaultFreeMatchesStaticReference) {
+  // reference_online is the dynamic oracle that OnlineHdlts and DST are
+  // diffed against. With no failures its cold phase is the whole run, so it
+  // must equal the static reference schedule. That closes the triangle
+  // compiled == online reference (online_test, dst_test) == static
   // reference. The online runtimes select by min-EFT and duplicate a unique
   // entry only, so the weighted and duplicate-all-sources combinations are
   // out of its scope.
@@ -280,9 +280,9 @@ TEST(IncrementalEquivalence, OnlineLegacyFaultFreeMatchesReference) {
       const sim::Workload w = random_problem(seed * 57 + ci);
       const core::ReferenceHdlts reference(grid[ci]);
       expect_online_matches(
-          core::run_online_legacy(w, {}, grid[ci]),
+          core::reference_online(w, {}, grid[ci]),
           reference.schedule(sim::Problem(w)),
-          "legacy combo " + std::to_string(ci) + ", seed " +
+          "online reference combo " + std::to_string(ci) + ", seed " +
               std::to_string(seed));
       ++problems;
     }

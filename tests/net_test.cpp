@@ -401,6 +401,11 @@ TEST(ParseRequest, MalformedTaxonomy) {
   EXPECT_EQ(parse_error_code("{\"op\":\"submit\",\"kind\":\"stream\","
                              "\"arrivals\":[]}"),
             ErrorCode::kMalformedRequest);
+  // 2^32 + 1 does not fit a ProcId; truncated it would kill processor 1.
+  EXPECT_EQ(parse_error_code("{\"op\":\"submit\",\"kind\":\"online\","
+                             "\"generator\":{},"
+                             "\"failures\":[{\"proc\":4294967297}]}"),
+            ErrorCode::kMalformedRequest);
 }
 
 TEST(ParseRequest, OverLimitsTaxonomy) {
@@ -436,6 +441,24 @@ TEST(ParseRequest, OverLimitsTaxonomy) {
   EXPECT_EQ(parse_error_code("{\"op\":\"submit\",\"kind\":\"stream\","
                              "\"arrivals\":[{\"generator\":{}},"
                              "{\"generator\":{}}]}",
+                             limits),
+            ErrorCode::kOverLimits);
+  // Inline caps bind before the platform and cost table are built: both
+  // texts are also malformed (a short cost row, a missing one), which a
+  // check after the build would report instead.
+  const auto inline_frame = [](const std::string& text) {
+    return "{\"op\":\"submit\",\"schedulers\":[\"heft\"],"
+           "\"workload\":\"" +
+           util::json_escape(text) + "\"}";
+  };
+  EXPECT_EQ(parse_error_code(inline_frame("workflow 1\ntask 0 a 1\n"
+                                          "platform 300\ncost 0 1\n")),
+            ErrorCode::kOverLimits);
+  limits = {};
+  limits.max_tasks = 1;
+  EXPECT_EQ(parse_error_code(inline_frame("workflow 2\ntask 0 a 1\n"
+                                          "task 1 b 1\nplatform 1\n"
+                                          "cost 0 1\n"),
                              limits),
             ErrorCode::kOverLimits);
 }
@@ -488,8 +511,12 @@ TEST(FairQueueTest, WeightedInterleaveIsExact) {
   FairQueueOptions options;
   options.weights = {{"a", 2}, {"b", 1}};
   FairQueue<int> q{options};
-  for (int i = 0; i < 6; ++i) ASSERT_EQ(q.push("a", i), FairQueue<int>::Push::kOk);
-  for (int i = 0; i < 3; ++i) ASSERT_EQ(q.push("b", i), FairQueue<int>::Push::kOk);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(q.push("a", i), FairQueue<int>::Push::kOk);
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(q.push("b", i), FairQueue<int>::Push::kOk);
+  }
   std::vector<std::string> order;
   std::string tenant;
   int item = 0;

@@ -565,76 +565,99 @@ TEST(DecisionTrace, StreamRunEmitsArrivalsAndPlacements) {
   EXPECT_NE(os.str().find("\"ph\":\"X\""), std::string::npos);
 }
 
-/// Event-for-event, bitwise equality of two recorded runs. The end event's
-/// scratch statistics (ITQ high water, arena bytes) describe the
-/// implementation, not its decisions, and are left out.
-void expect_same_events(const RecordingTrace& got,
-                        const RecordingTrace& want) {
-  EXPECT_EQ(got.scheduler(), want.scheduler());
-  EXPECT_EQ(got.num_tasks(), want.num_tasks());
-  EXPECT_EQ(got.num_procs(), want.num_procs());
-  ASSERT_EQ(got.notes().size(), want.notes().size());
-  for (std::size_t i = 0; i < got.notes().size(); ++i) {
-    EXPECT_EQ(got.notes()[i].kind, want.notes()[i].kind) << "note " << i;
-    EXPECT_EQ(got.notes()[i].value, want.notes()[i].value) << "note " << i;
-  }
-  ASSERT_EQ(got.placements().size(), want.placements().size());
-  for (std::size_t i = 0; i < got.placements().size(); ++i) {
-    SCOPED_TRACE("placement " + std::to_string(i));
-    const PlacementEvent& a = got.placements()[i];
-    const PlacementEvent& b = want.placements()[i];
-    EXPECT_EQ(a.task, b.task);
-    EXPECT_EQ(a.proc, b.proc);
-    EXPECT_EQ(a.start, b.start);
-    EXPECT_EQ(a.finish, b.finish);
-    EXPECT_EQ(a.duplicate, b.duplicate);
-  }
-  ASSERT_TRUE(got.has_end());
-  ASSERT_TRUE(want.has_end());
-  EXPECT_EQ(got.end().makespan, want.end().makespan);
-  EXPECT_EQ(got.end().steps, want.end().steps);
-  EXPECT_EQ(got.end().duplicates, want.end().duplicates);
-}
-
-TEST(DecisionTrace, CompiledAndLegacyEmitIdenticalDecisions) {
-  // Each dynamic runtime keeps a compiled implementation and a legacy
-  // oracle (run_online_legacy, run_stream_legacy), and each path emits its
-  // begin, note and placement events from its own code. The two event
-  // streams must agree event for event, bit for bit.
+TEST(DecisionTrace, DynamicRunsEmitTheirInputsAndResults) {
+  // Each dynamic runtime emits its begin, note, placement and end events
+  // from its own code. They must tell the run the inputs and the returned
+  // result describe, event for event and bit for bit.
   const sim::Workload w = workload::random_workload({}, 7);
   const double clean = core::Hdlts().schedule(sim::Problem(w)).makespan();
   const core::ProcFailure failures[] = {{0, 0.25 * clean},
                                         {2, 0.5 * clean}};
   {
     SCOPED_TRACE("online");
-    RecordingTrace compiled;
-    RecordingTrace legacy;
-    (void)core::run_online(w, failures, core::HdltsOptions{}, &compiled);
-    (void)core::run_online_legacy(w, failures, core::HdltsOptions{},
-                                  &legacy);
-    expect_same_events(compiled, legacy);
-    std::size_t failure_notes = 0;
-    for (const RecordingTrace::NoteRecord& n : compiled.notes()) {
-      if (n.kind == "online.failure") ++failure_notes;
+    RecordingTrace trace;
+    const core::OnlineResult r =
+        core::run_online(w, failures, core::HdltsOptions{}, &trace);
+    EXPECT_EQ(trace.scheduler(), "online-hdlts");
+    EXPECT_EQ(trace.num_tasks(), w.graph.num_tasks());
+    EXPECT_EQ(trace.num_procs(), w.platform.num_procs());
+    std::vector<double> phases;
+    std::vector<double> failure_times;
+    std::size_t lost_notes = 0;
+    for (const RecordingTrace::NoteRecord& n : trace.notes()) {
+      if (n.kind == "online.phase_start") phases.push_back(n.value);
+      if (n.kind == "online.failure") failure_times.push_back(n.value);
+      if (n.kind == "online.lost_execution") ++lost_notes;
     }
-    EXPECT_EQ(failure_notes, 2u);
+    EXPECT_EQ(phases,
+              (std::vector<double>{0.0, failures[0].time, failures[1].time}));
+    EXPECT_EQ(failure_times,
+              (std::vector<double>{failures[0].time, failures[1].time}));
+    EXPECT_EQ(lost_notes, r.lost_executions);
+    std::vector<core::OnlineExec> survivors;
+    std::size_t duplicates = 0;
+    for (const core::OnlineExec& e : r.executions) {
+      if (e.lost) continue;
+      survivors.push_back(e);
+      if (e.duplicate) ++duplicates;
+    }
+    ASSERT_EQ(trace.placements().size(), survivors.size());
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      SCOPED_TRACE("placement " + std::to_string(i));
+      const PlacementEvent& p = trace.placements()[i];
+      EXPECT_EQ(p.task, survivors[i].task);
+      EXPECT_EQ(p.proc, survivors[i].proc);
+      EXPECT_EQ(p.start, survivors[i].start);
+      EXPECT_EQ(p.finish, survivors[i].finish);
+      EXPECT_EQ(p.duplicate, survivors[i].duplicate);
+    }
+    ASSERT_TRUE(trace.has_end());
+    EXPECT_EQ(trace.end().makespan, r.makespan);
+    EXPECT_EQ(trace.end().steps, survivors.size());
+    EXPECT_EQ(trace.end().duplicates, duplicates);
   }
 
   std::vector<core::StreamArrival> arrivals;
   arrivals.push_back({workload::classic_workload(), 0.0});
   arrivals.push_back({workload::classic_workload(), 10.0});
   arrivals.push_back({workload::classic_workload(), 25.0});
+  const std::size_t n = arrivals.front().workload.graph.num_tasks();
   for (const core::StreamPolicy policy :
        {core::StreamPolicy::kHdltsPv, core::StreamPolicy::kFifoEft}) {
     SCOPED_TRACE("stream policy " + std::to_string(static_cast<int>(policy)));
     core::StreamOptions options;
     options.policy = policy;
-    RecordingTrace compiled;
-    RecordingTrace legacy;
-    (void)core::run_stream(arrivals, options, &compiled);
-    (void)core::run_stream_legacy(arrivals, options, &legacy);
-    expect_same_events(compiled, legacy);
-    EXPECT_EQ(compiled.placements().size(), 30u);
+    RecordingTrace trace;
+    const core::StreamResult r = core::run_stream(arrivals, options, &trace);
+    std::vector<double> arrival_notes;
+    for (const RecordingTrace::NoteRecord& note : trace.notes()) {
+      if (note.kind == "stream.arrival") arrival_notes.push_back(note.value);
+    }
+    EXPECT_EQ(arrival_notes, (std::vector<double>{0.0, 10.0, 25.0}));
+    // Placements come in decision order over the combined id space
+    // (workflow w's task t is w * n + t); executions are sorted by start.
+    ASSERT_EQ(trace.placements().size(), 30u);
+    ASSERT_EQ(r.executions.size(), 30u);
+    std::vector<bool> seen(30, false);
+    for (const PlacementEvent& p : trace.placements()) {
+      SCOPED_TRACE("task " + std::to_string(p.task));
+      ASSERT_LT(p.task, 30u);
+      EXPECT_FALSE(seen[p.task]);
+      seen[p.task] = true;
+      const auto it = std::find_if(
+          r.executions.begin(), r.executions.end(),
+          [&](const core::StreamTaskExec& e) {
+            return e.workflow == p.task / n && e.task == p.task % n;
+          });
+      ASSERT_NE(it, r.executions.end());
+      EXPECT_EQ(p.proc, it->proc);
+      EXPECT_EQ(p.start, it->start);
+      EXPECT_EQ(p.finish, it->finish);
+      EXPECT_FALSE(p.duplicate);
+    }
+    ASSERT_TRUE(trace.has_end());
+    EXPECT_EQ(trace.end().makespan, r.makespan);
+    EXPECT_EQ(trace.end().steps, 30u);
   }
 }
 

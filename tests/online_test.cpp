@@ -7,6 +7,7 @@
 #include "hdlts/check/validate.hpp"
 #include "hdlts/core/itq_engine.hpp"
 #include "hdlts/core/online.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/simd/kernels.hpp"
 #include "hdlts/workload/classic.hpp"
 #include "hdlts/workload/fft.hpp"
@@ -213,7 +214,7 @@ TEST(OnlineProperty, EverySeededFaultPlanValidatesAcrossFamilies) {
   }
 }
 
-// --- Compiled-vs-legacy bit identity ---
+// --- Compiled-vs-reference bit identity ---
 
 void expect_online_identical(const OnlineResult& got, const OnlineResult& want,
                              const std::string& label) {
@@ -236,10 +237,10 @@ void expect_online_identical(const OnlineResult& got, const OnlineResult& want,
 constexpr PvKind kPvKinds[] = {PvKind::kSampleStddev,
                                PvKind::kPopulationStddev, PvKind::kRange};
 
-TEST(OnlineDifferential, CompiledMatchesLegacyOnEverySeededFaultPlan) {
+TEST(OnlineDifferential, CompiledMatchesReferenceOnEverySeededFaultPlan) {
   // Every PV kind x family x seed x seeded fault plan, with the options
   // grid rotated the same way the DST sweep rotates it — compiled (the
-  // run_online default) must be bit-identical to the legacy reference. The
+  // run_online default) must be bit-identical to the naive reference. The
   // range kind is the only one whose packed alive-column trees reduce with
   // min/max instead of sums.
   std::size_t pairs = 0;
@@ -261,10 +262,10 @@ TEST(OnlineDifferential, CompiledMatchesLegacyOnEverySeededFaultPlan) {
           ++cell;
           const OnlineResult compiled =
               run_online(w, plan.failures, options);
-          const OnlineResult legacy =
-              run_online_legacy(w, plan.failures, options);
+          const OnlineResult reference =
+              reference_online(w, plan.failures, options);
           expect_online_identical(
-              compiled, legacy,
+              compiled, reference,
               "pv " + std::to_string(static_cast<int>(pv)) + " family " +
                   std::to_string(family) + " seed " + std::to_string(seed) +
                   " plan \"" + plan.description + "\"");
@@ -431,7 +432,7 @@ class OnlineBackendGuard {
   std::string saved_;
 };
 
-TEST(OnlineDifferential, CompiledMatchesLegacyUnderForcedBackends) {
+TEST(OnlineDifferential, CompiledMatchesReferenceUnderForcedBackends) {
   for (const char* backend : {"scalar", "avx2"}) {
     if (simd::backend(backend) == nullptr) continue;  // CPU/binary lacks it
     OnlineBackendGuard guard;
@@ -443,8 +444,8 @@ TEST(OnlineDifferential, CompiledMatchesLegacyUnderForcedBackends) {
       for (const check::FaultPlan& plan :
            check::make_fault_plans(3, clean, seed)) {
         const OnlineResult compiled = run_online(w, plan.failures);
-        const OnlineResult legacy = run_online_legacy(w, plan.failures);
-        expect_online_identical(compiled, legacy,
+        const OnlineResult reference = reference_online(w, plan.failures);
+        expect_online_identical(compiled, reference,
                                 std::string(backend) + " seed " +
                                     std::to_string(seed) + " plan \"" +
                                     plan.description + "\"");

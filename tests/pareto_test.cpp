@@ -96,9 +96,9 @@ TEST(ParetoFrontier, DominatedExcludedAndNonDominatedKeptProperty) {
           std::any_of(points.begin(), points.end(), [&](const ParetoPoint& q) {
             return pareto_dominates(q, p);
           });
-      const bool in_frontier =
-          std::any_of(frontier.begin(), frontier.end(),
-                      [&](const ParetoPoint& f) { return same_objectives(f, p); });
+      const bool in_frontier = std::any_of(
+          frontier.begin(), frontier.end(),
+          [&](const ParetoPoint& f) { return same_objectives(f, p); });
       EXPECT_EQ(in_frontier, !dominated)
           << p.scheduler << " (seed " << seed << ")";
     }

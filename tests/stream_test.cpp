@@ -5,7 +5,9 @@
 #include <limits>
 
 #include "hdlts/check/validate.hpp"
+#include "hdlts/core/reference.hpp"
 #include "hdlts/core/stream.hpp"
+#include "hdlts/obs/trace.hpp"
 #include "hdlts/simd/kernels.hpp"
 #include "hdlts/workload/classic.hpp"
 #include "hdlts/workload/fft.hpp"
@@ -117,6 +119,26 @@ TEST(Stream, UnsortedArrivalsAreHandled) {
   }
 }
 
+TEST(Stream, EqualArrivalsReleaseInListOrder) {
+  // Equal arrival times release in list order, each workflow drained before
+  // the next, past the 16 elements up to which std::sort's insertion pass
+  // happens to keep ties in order.
+  const sim::Workload w = small_random(3);
+  const std::size_t n = w.graph.num_tasks();
+  const std::vector<StreamArrival> s(17, StreamArrival{w, 0.0});
+  StreamOptions fifo;
+  fifo.policy = StreamPolicy::kFifoEft;
+  obs::RecordingTrace trace;
+  (void)run_stream(s, fifo, &trace);
+  ASSERT_EQ(trace.placements().size(), s.size() * n);
+  std::size_t owner = 0;
+  for (const obs::PlacementEvent& p : trace.placements()) {
+    EXPECT_GE(p.task / n, owner) << "task " << p.task;  // combined id space
+    owner = std::max<std::size_t>(owner, p.task / n);
+  }
+  EXPECT_EQ(owner, s.size() - 1);
+}
+
 TEST(Stream, FifoPolicyDiffersFromPv) {
   std::vector<StreamArrival> s;
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -188,7 +210,7 @@ sim::Workload stream_family_workload(int family, std::uint64_t seed) {
   }
 }
 
-// --- Compiled-vs-legacy bit identity ---
+// --- Compiled-vs-reference bit identity ---
 
 void expect_stream_identical(const StreamResult& got, const StreamResult& want,
                              const std::string& label) {
@@ -210,7 +232,7 @@ void expect_stream_identical(const StreamResult& got, const StreamResult& want,
 constexpr PvKind kPvKinds[] = {PvKind::kSampleStddev,
                                PvKind::kPopulationStddev, PvKind::kRange};
 
-TEST(StreamDifferential, CompiledMatchesLegacyAcrossFamiliesAndPolicies) {
+TEST(StreamDifferential, CompiledMatchesReferenceAcrossFamiliesAndPolicies) {
   std::size_t pairs = 0;
   for (int family = 0; family < 5; ++family) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -225,9 +247,9 @@ TEST(StreamDifferential, CompiledMatchesLegacyAcrossFamiliesAndPolicies) {
           options.policy = policy;
           options.pv = pv;
           const StreamResult compiled = run_stream(arrivals, options);
-          const StreamResult legacy = run_stream_legacy(arrivals, options);
+          const StreamResult reference = reference_stream(arrivals, options);
           expect_stream_identical(
-              compiled, legacy,
+              compiled, reference,
               "family " + std::to_string(family) + " seed " +
                   std::to_string(seed) + " pv " +
                   std::to_string(static_cast<int>(pv)) +
@@ -303,7 +325,7 @@ class StreamBackendGuard {
   std::string saved_;
 };
 
-TEST(StreamDifferential, CompiledMatchesLegacyUnderForcedBackends) {
+TEST(StreamDifferential, CompiledMatchesReferenceUnderForcedBackends) {
   std::vector<StreamArrival> arrivals;
   for (std::uint64_t i = 0; i < 3; ++i) {
     arrivals.push_back({stream_family_workload(static_cast<int>(i), 30 + i),
@@ -318,8 +340,8 @@ TEST(StreamDifferential, CompiledMatchesLegacyUnderForcedBackends) {
       StreamOptions options;
       options.policy = policy;
       const StreamResult compiled = run_stream(arrivals, options);
-      const StreamResult legacy = run_stream_legacy(arrivals, options);
-      expect_stream_identical(compiled, legacy, backend);
+      const StreamResult reference = reference_stream(arrivals, options);
+      expect_stream_identical(compiled, reference, backend);
     }
   }
 }
