@@ -1,6 +1,6 @@
 // Dynamic-path benchmark: what do the compiled zero-alloc online/stream
-// paths (CompiledProblem + arena SoA rows + incremental refresh + SIMD
-// selection) buy over the naive references in core/reference.hpp?
+// paths (CompiledProblem + arena SoA rows + incremental refresh) buy over
+// the naive references in core/reference.hpp?
 //
 // Two scenarios, each measured on both paths in the steady-state regime
 // (two warm-up runs, recycled scheduler state, best-of-n):

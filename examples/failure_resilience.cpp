@@ -8,6 +8,7 @@
 // clean makespan and may be repeated. Without --fail, --failures=N injects a
 // default staggered scenario (--fail-proc / --fail-frac tune its first
 // failure). Add --validate to replay the run through check::OnlineValidator.
+#include <exception>
 #include <iostream>
 #include <limits>
 
@@ -43,11 +44,8 @@ hdlts::core::ProcFailure parse_fail(const std::string& spec,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const hdlts::util::Cli& cli) {
   using namespace hdlts;
-  const util::Cli cli(argc, argv);
   workload::RandomDagParams params;
   params.num_tasks = static_cast<std::size_t>(cli.get_int("tasks", 80));
   params.costs.num_procs = static_cast<std::size_t>(cli.get_int("cpus", 4));
@@ -114,4 +112,15 @@ int main(int argc, char** argv) {
     table.write_markdown(std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(hdlts::util::Cli(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

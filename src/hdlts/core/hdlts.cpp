@@ -97,7 +97,7 @@ void Hdlts::schedule_into(const sim::Problem& problem,
   run_compiled(problem.compiled(), out);
 }
 
-// Dispatch on whether a sink is attached: the no-sink instantiation erases
+// Branch on whether a sink is attached: the no-sink instantiation erases
 // every telemetry block at compile time (obs::NullSink::kEnabled is false),
 // so an uninstrumented schedule call runs the pre-telemetry hot loop.
 void Hdlts::run_compiled(const sim::CompiledProblem& problem,

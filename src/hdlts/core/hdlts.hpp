@@ -98,8 +98,8 @@ class Hdlts : public sched::Scheduler {
 
  private:
   /// Runs over sim::CompiledProblem through core::ItqEngine, bit-identical
-  /// to core::ReferenceHdlts (tests/incremental_equiv_test.cpp). Dispatches
-  /// to run_compiled_impl on whether a trace sink is attached.
+  /// to core::ReferenceHdlts (tests/incremental_equiv_test.cpp). Picks the
+  /// run_compiled_impl instantiation by whether a trace sink is attached.
   void run_compiled(const sim::CompiledProblem& problem,
                     sim::Schedule& schedule) const;
   /// The hot loop, templated on a compile-time sink policy (obs::NullSink /

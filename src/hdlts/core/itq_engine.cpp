@@ -27,7 +27,6 @@ ItqEngine::ItqEngine(util::ScratchArena& arena,
                      bool insertion)
     : problem_(problem),
       schedule_(schedule),
-      simd_(simd::active()),
       procs_(problem.procs()),
       np_(procs_.size()),
       pv_(pv),
@@ -109,8 +108,7 @@ void ItqEngine::push(graph::TaskId v, double floor) {
     return;
   }
   // Leaves: the live EFT cells into A, pv_leaf_b of them into B, identity
-  // padding; combine_up then rebuilds every internal node — the same node
-  // values as tree_ops::fill_identity + leaf stores + tree_ops::combine_up.
+  // padding; combine_up then rebuilds every internal node.
   double* const ta = tree_a_.data() + slot * tree_len_;
   double* const tb = tree_b_.data() + slot * tree_len_;
   if (packed) {
@@ -120,17 +118,15 @@ void ItqEngine::push(graph::TaskId v, double floor) {
   } else {
     std::copy(e.begin(), e.end(), ta + base_);
   }
-  if (pv_ == PvKind::kRange) {
-    std::copy(ta + base_, ta + base_ + n_live_, tb + base_);
-  } else {
-    simd_.square(ta + base_, tb + base_, n_live_);
+  for (std::size_t li = 0; li < n_live_; ++li) {
+    tb[base_ + li] = pv_leaf_b(pv_, ta[base_ + li]);
   }
   std::fill(ta + base_ + n_live_, ta + 2 * base_,
             util::tree_ops::identity(op_a_));
   std::fill(tb + base_ + n_live_, tb + 2 * base_,
             util::tree_ops::identity(op_b_));
-  simd_.combine_up(op_a_, ta, base_);
-  simd_.combine_up(op_b_, tb, base_);
+  util::tree_ops::combine_up(op_a_, {ta, 2 * base_}, base_);
+  util::tree_ops::combine_up(op_b_, {tb, 2 * base_}, base_);
   // Under kFrozenPv this first value is the entry's key for good.
   keys_[qi] = pv_from_roots(pv_, n_live_, ta[1], tb[1]);
 }

@@ -21,7 +21,8 @@
 // packed in column order over base_for(#live) — the tree shape
 // penalty_value builds over the compacted row, so a refresh yields the
 // bits of a full recompute on the surviving processors (identity-padding a
-// dead column instead would change the pairwise summation order). Every
+// dead column instead would change the pairwise summation order). pick()
+// and min_eft_column() run the two-pass kernels of simd/kernels.hpp. Every
 // mode is bit-identical to its naive reference in core/reference.hpp, a
 // loop over core::ReferenceItq: core::ReferenceHdlts
 // (tests/incremental_equiv_test.cpp), core::reference_online and
@@ -71,7 +72,7 @@ class ItqEngine {
   /// ITQ position of the highest-ranked entry.
   std::size_t pick() {
     high_water_ = std::max(high_water_, size_);
-    return simd_.argmax_key(keys_.data(), tasks_.data(), size_);
+    return simd::argmax_key(keys_.data(), tasks_.data(), size_);
   }
 
   graph::TaskId task(std::size_t pos) const { return tasks_[pos]; }
@@ -85,8 +86,8 @@ class ItqEngine {
   /// The live column with the minimum EFT in `row`, ties to the lower
   /// column.
   std::size_t min_eft_column(std::span<const double> row) const {
-    return n_live_ == np_ ? simd_.argmin(row.data(), np_)
-                          : simd_.argmin_masked(row.data(), live_.data(), np_);
+    return n_live_ == np_ ? simd::argmin(row.data(), np_)
+                          : simd::argmin_masked(row.data(), live_.data(), np_);
   }
 
   /// Swap-removes the entry at `pos` and recycles its slot.
@@ -119,7 +120,6 @@ class ItqEngine {
  private:
   const sim::CompiledProblem& problem_;
   const sim::Schedule& schedule_;
-  const simd::Dispatch& simd_;
   const std::span<const platform::ProcId> procs_;
   const std::size_t np_;
   const PvKind pv_;

@@ -1,6 +1,7 @@
 #include "hdlts/core/stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "hdlts/core/itq_engine.hpp"
@@ -56,10 +57,11 @@ detail::FrozenStream build_combined(std::span<const StreamArrival> arrivals,
       throw InvalidArgument(
           "all stream workflows must target the same processor count");
     }
-    if (a.arrival < 0.0) {
-      throw InvalidArgument("arrival times must be non-negative");
+    // Negated >= so that NaN fails each check.
+    if (!std::isfinite(a.arrival) || !(a.arrival >= 0.0)) {
+      throw InvalidArgument("arrival times must be finite and non-negative");
     }
-    if (a.deadline < a.arrival) {
+    if (!(a.deadline >= a.arrival)) {
       throw InvalidArgument("deadline precedes the workflow's arrival");
     }
   }
@@ -68,7 +70,8 @@ detail::FrozenStream build_combined(std::span<const StreamArrival> arrivals,
       throw InvalidArgument("busy interval uses unknown processor " +
                             std::to_string(b.proc));
     }
-    if (b.start < 0.0 || b.finish < b.start) {
+    if (!std::isfinite(b.start) || !(b.start >= 0.0) ||
+        !(b.finish >= b.start)) {
       throw InvalidArgument("busy interval is malformed");
     }
   }

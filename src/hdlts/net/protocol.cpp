@@ -329,8 +329,9 @@ ParsedRequest parse_request(std::string_view frame, const Limits& limits) {
         double arrival_time = 0.0;
         if (const auto* at = entry.find("arrival"); at != nullptr) {
           arrival_time = as_double(*at, "arrival.arrival");
-          if (!(arrival_time >= 0)) {
-            fail(ErrorCode::kMalformedRequest, "arrival.arrival must be >= 0");
+          if (!std::isfinite(arrival_time) || !(arrival_time >= 0)) {
+            fail(ErrorCode::kMalformedRequest,
+                 "arrival.arrival must be finite and >= 0");
           }
         }
         const auto* wl = entry.find("workload");

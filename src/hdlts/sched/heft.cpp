@@ -36,10 +36,9 @@ void run_heft(const sim::CompiledProblem& view, util::ScratchArena& arena,
   if (sink != nullptr) {
     sink->on_begin({"heft", n, view.procs().size()});
   }
-  // Processor selection goes through the SIMD argmin kernel: fill the EST/EFT
+  // Processor selection goes through the argmin kernel: fill the EST/EFT
   // row for the alive processors, then take the first minimum — the same
   // index the strict-less scan in best_eft produces (EFTs are finite).
-  const simd::Dispatch& simd_k = simd::active();
   const auto procs = view.procs();
   const std::size_t np = procs.size();
   const auto est_row = arena.alloc<double>(np);
@@ -51,7 +50,7 @@ void run_heft(const sim::CompiledProblem& view, util::ScratchArena& arena,
       est_row[pi] = c.est;
       eft_row[pi] = c.eft;
     }
-    const std::size_t bi = simd_k.argmin(eft_row.data(), np);
+    const std::size_t bi = simd::argmin(eft_row.data(), np);
     const PlacementChoice choice{procs[bi], est_row[bi], eft_row[bi]};
     if (sink != nullptr) {
       obs::StepEvent ev;

@@ -1,28 +1,13 @@
-// Scalar reference kernels and the startup backend selection.
-//
-// The scalar bodies below are the semantic ground truth: every SIMD backend
-// must reproduce them bit for bit (tests/simd_test.cpp compares them on
-// NaN/inf/denormal edge cases and on full scheduler runs). Keep them
-// boring — two passes, exact comparisons, no clever short-circuits.
+// Keep these bodies boring — two passes, exact comparisons, no clever
+// short-circuits: the NaN and tie-break rules in kernels.hpp are what the
+// reference ITQ is compared against.
 #include "hdlts/simd/kernels.hpp"
 
-#include <atomic>
 #include <limits>
-
-#include "hdlts/util/env.hpp"
 
 namespace hdlts::simd {
 
-#ifdef HDLTS_SIMD_HAVE_AVX2
-extern const Dispatch kAvx2;  // kernels_avx2.cpp
-#endif
-#ifdef HDLTS_SIMD_HAVE_NEON
-extern const Dispatch kNeon;  // kernels_neon.cpp
-#endif
-
-namespace {
-
-std::size_t argmin_scalar(const double* row, std::size_t n) {
+std::size_t argmin(const double* row, std::size_t n) {
   double m = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     if (row[i] < m) m = row[i];  // NaN never passes strict-less
@@ -33,8 +18,8 @@ std::size_t argmin_scalar(const double* row, std::size_t n) {
   return 0;  // all NaN
 }
 
-std::size_t argmin_masked_scalar(const double* row, const unsigned char* alive,
-                                 std::size_t n) {
+std::size_t argmin_masked(const double* row, const unsigned char* alive,
+                          std::size_t n) {
   double m = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     if (alive[i] != 0 && row[i] < m) m = row[i];
@@ -48,8 +33,8 @@ std::size_t argmin_masked_scalar(const double* row, const unsigned char* alive,
   return n;  // nothing alive
 }
 
-std::size_t argmax_key_scalar(const double* pv, const std::uint32_t* key,
-                              std::size_t n) {
+std::size_t argmax_key(const double* pv, const std::uint32_t* key,
+                       std::size_t n) {
   double m = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     if (pv[i] > m) m = pv[i];
@@ -65,80 +50,6 @@ std::size_t argmax_key_scalar(const double* pv, const std::uint32_t* key,
   return best == n ? 0 : best;  // all NaN
 }
 
-void combine_up_scalar(util::ReductionTree::Op op, double* nodes,
-                       std::size_t base) {
-  util::tree_ops::combine_up(op, std::span<double>(nodes, 2 * base), base);
-}
-
-void square_scalar(const double* src, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * src[i];
-}
-
-constexpr Dispatch kScalar = {
-    argmin_scalar, argmin_masked_scalar, argmax_key_scalar,
-    combine_up_scalar, square_scalar, "scalar"};
-
-bool cpu_has_avx2() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-const Dispatch* avx2() {
-#ifdef HDLTS_SIMD_HAVE_AVX2
-  return cpu_has_avx2() ? &kAvx2 : nullptr;
-#else
-  return nullptr;
-#endif
-}
-
-const Dispatch* neon() {
-#ifdef HDLTS_SIMD_HAVE_NEON
-  return &kNeon;  // baseline aarch64 always has Advanced SIMD
-#else
-  return nullptr;
-#endif
-}
-
-const Dispatch* select() {
-  const std::string env = util::env_string("HDLTS_SIMD", "");
-  if (const Dispatch* forced = backend(env); forced != nullptr) return forced;
-  if (const Dispatch* d = avx2()) return d;
-  if (const Dispatch* d = neon()) return d;
-  return &kScalar;
-}
-
-std::atomic<const Dispatch*> g_active{nullptr};
-
-}  // namespace
-
-const Dispatch& active() {
-  const Dispatch* d = g_active.load(std::memory_order_acquire);
-  if (d == nullptr) {
-    // Benign race: concurrent first calls select the same table.
-    d = select();
-    g_active.store(d, std::memory_order_release);
-  }
-  return *d;
-}
-
-std::string_view active_backend() { return active().name; }
-
-const Dispatch* backend(std::string_view name) {
-  if (name == "scalar" || name == "off") return &kScalar;
-  if (name == "avx2") return avx2();
-  if (name == "neon") return neon();
-  return nullptr;
-}
-
-bool force_backend(std::string_view name) {
-  const Dispatch* d = backend(name);
-  if (d == nullptr) return false;
-  g_active.store(d, std::memory_order_release);
-  return true;
-}
+std::string_view active_backend() { return "scalar"; }
 
 }  // namespace hdlts::simd

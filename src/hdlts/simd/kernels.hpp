@@ -1,80 +1,42 @@
-// Runtime-dispatched SIMD kernels for the scheduler hot loops.
+// The selection kernels of the scheduler hot loops: the min-EFT argmin over
+// a processor row (HEFT, core::ItqEngine) and the max-PV selection sweep
+// over the ITQ (core::ItqEngine).
 //
-// Three scans dominate the per-decision cost of the compiled HDLTS/HEFT
-// paths (bench/micro_scale): the min-EFT argmin over a processor row, the
-// max-PV selection sweep over the ITQ, and the pairwise reduction that
-// maintains the PV moments. Each gets a kernel here with a portable scalar
-// implementation and an AVX2 implementation compiled into its own
-// translation unit with -mavx2 (x86 only; aarch64 builds get a NEON slot,
-// see kernels_neon.cpp). A Dispatch table is selected once at startup from
-// CPUID and can be overridden with HDLTS_SIMD=off|scalar|avx2|neon for
-// differential testing (tests/simd_test.cpp).
-//
-// Bitwise contract: every backend implements the *same* order-independent
-// semantics, spelled out per kernel below, so schedules are bit-identical
-// under any backend (and identical to the pre-kernel sequential scans on
-// the NaN-free rows real problems produce). The selection kernels use a
-// two-pass shape — reduce to the extremum, then resolve the index/key
-// tie-break by exact equality — because a lane-decomposed single-pass scan
-// does not match a sequential scan when NaN is present.
+// Contract: each kernel is a two-pass scan — reduce to the extremum, then
+// resolve the index/key tie-break by exact equality — so NaN entries never
+// win and ties resolve the same way wherever they sit. On the NaN-free rows
+// real problems produce this equals the classic sequential strict-less
+// sweep; core::ReferenceItq is compared against exactly these rules
+// (tests/simd_test.cpp pins the NaN/inf/signed-zero edge cases).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
-#include "hdlts/util/reduction_tree.hpp"
-
 namespace hdlts::simd {
 
-struct Dispatch {
-  /// Index of the first occurrence of the row minimum (strict-less; ties go
-  /// to the lowest index). NaN entries are never minimal; an all-NaN row
-  /// returns 0. n >= 1. On NaN-free rows this equals the classic
-  /// `if (row[i] < row[best]) best = i` sweep.
-  std::size_t (*argmin)(const double* row, std::size_t n);
+/// Index of the first occurrence of the row minimum (strict-less; ties go
+/// to the lowest index). NaN entries are never minimal; an all-NaN row
+/// returns 0. n >= 1. On NaN-free rows this equals the classic
+/// `if (row[i] < row[best]) best = i` sweep.
+std::size_t argmin(const double* row, std::size_t n);
 
-  /// argmin restricted to entries with alive[i] != 0. Returns the first
-  /// alive index holding the masked minimum; if every alive entry is NaN,
-  /// the first alive index; if nothing is alive, n.
-  std::size_t (*argmin_masked)(const double* row, const unsigned char* alive,
-                               std::size_t n);
+/// argmin restricted to entries with alive[i] != 0. Returns the first
+/// alive index holding the masked minimum; if every alive entry is NaN,
+/// the first alive index; if nothing is alive, n.
+std::size_t argmin_masked(const double* row, const unsigned char* alive,
+                          std::size_t n);
 
-  /// Index of the entry maximizing pv, ties broken toward the smallest key
-  /// (the HDLTS "highest PV wins, ties to the lower task id" rule, which is
-  /// order-independent by construction). NaN PVs never win; an all-NaN
-  /// array returns 0. n >= 1.
-  std::size_t (*argmax_key)(const double* pv, const std::uint32_t* key,
-                            std::size_t n);
+/// Index of the entry maximizing pv, ties broken toward the smallest key
+/// (the HDLTS "highest PV wins, ties to the lower task id" rule, which is
+/// order-independent by construction). NaN PVs never win; an all-NaN
+/// array returns 0. n >= 1.
+std::size_t argmax_key(const double* pv, const std::uint32_t* key,
+                       std::size_t n);
 
-  /// Recomputes every internal node of a 1-indexed complete binary
-  /// reduction tree from its leaves — the same node values, level by level,
-  /// as util::tree_ops::combine_up (each parent is one exact op over its
-  /// two children, so vector width cannot change the bits).
-  void (*combine_up)(util::ReductionTree::Op op, double* nodes,
-                     std::size_t base);
-
-  /// dst[i] = src[i] * src[i] (the sum-of-squares tree leaves).
-  void (*square)(const double* src, double* dst, std::size_t n);
-
-  const char* name;  ///< "scalar", "avx2", or "neon"
-};
-
-/// The active table. Selected on first use: HDLTS_SIMD env override if set,
-/// otherwise the best backend this binary and CPU support. Hot loops should
-/// grab the reference once per schedule call.
-const Dispatch& active();
-
-/// The active backend's name ("scalar", "avx2", "neon").
+/// Always "scalar": the one implementation above. Kept for tools that
+/// print the kernel backend on their conditions line.
 std::string_view active_backend();
-
-/// A specific backend, or nullptr when it is not compiled in or the CPU
-/// lacks the feature ("off" aliases "scalar"). Test hook.
-const Dispatch* backend(std::string_view name);
-
-/// Replaces the active table (test-only; not thread-safe against concurrent
-/// schedule calls). Returns false and leaves the table unchanged when the
-/// backend is unavailable.
-bool force_backend(std::string_view name);
 
 }  // namespace hdlts::simd

@@ -9,11 +9,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#include <string>
-
 #include "hdlts/check/dst.hpp"
 #include "hdlts/check/faultplan.hpp"
-#include "hdlts/simd/kernels.hpp"
 #include "hdlts/util/env.hpp"
 
 namespace hdlts {
@@ -57,20 +54,6 @@ TEST(DstTest, SweepComparesCompiledAgainstReferenceByDefault) {
   const check::DstReport report = check::run_dst(options);
   report_counterexamples(report);
   EXPECT_TRUE(report.ok());
-}
-
-TEST(DstTest, SweepIsCleanUnderForcedSimdBackends) {
-  const std::string saved(simd::active_backend());
-  for (const char* backend : {"scalar", "avx2"}) {
-    if (simd::backend(backend) == nullptr) continue;
-    ASSERT_TRUE(simd::force_backend(backend));
-    check::DstOptions options;
-    options.rounds = 1;
-    const check::DstReport report = check::run_dst(options);
-    report_counterexamples(report);
-    EXPECT_TRUE(report.ok()) << "backend " << backend;
-  }
-  simd::force_backend(saved);
 }
 
 TEST(DstTest, SweepIsDeterministic) {

@@ -408,6 +408,23 @@ TEST(ParseRequest, MalformedTaxonomy) {
             ErrorCode::kMalformedRequest);
 }
 
+TEST(ParseRequest, RejectsNonFiniteArrival) {
+  // 1e999 overflows to +inf in the number parser; the engine must never
+  // see it.
+  try {
+    net::parse_request(
+        "{\"op\":\"submit\",\"id\":3,\"kind\":\"stream\","
+        "\"arrivals\":[{\"generator\":{},\"arrival\":1e999}]}",
+        {});
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(net::render_error(e.code(), e.what(), e.id(), e.tenant()),
+              "{\"ok\":false,\"code\":1,\"error\":\"MalformedRequest\","
+              "\"message\":\"arrival.arrival must be finite and >= 0\","
+              "\"id\":3}\n");
+  }
+}
+
 TEST(ParseRequest, OverLimitsTaxonomy) {
   Limits limits;
   limits.max_schedulers = 1;

@@ -8,7 +8,6 @@
 #include "hdlts/core/itq_engine.hpp"
 #include "hdlts/core/online.hpp"
 #include "hdlts/core/reference.hpp"
-#include "hdlts/simd/kernels.hpp"
 #include "hdlts/workload/classic.hpp"
 #include "hdlts/workload/fft.hpp"
 #include "hdlts/workload/forkjoin.hpp"
@@ -419,37 +418,6 @@ TEST(OnlineDifferential, SchedulerObjectReuseIsBitIdentical) {
       const OnlineResult fresh = run_online(w, plan.failures);
       expect_online_identical(out, fresh,
                               "reuse seed " + std::to_string(seed));
-    }
-  }
-}
-
-class OnlineBackendGuard {
- public:
-  OnlineBackendGuard() : saved_(simd::active_backend()) {}
-  ~OnlineBackendGuard() { simd::force_backend(saved_); }
-
- private:
-  std::string saved_;
-};
-
-TEST(OnlineDifferential, CompiledMatchesReferenceUnderForcedBackends) {
-  for (const char* backend : {"scalar", "avx2"}) {
-    if (simd::backend(backend) == nullptr) continue;  // CPU/binary lacks it
-    OnlineBackendGuard guard;
-    ASSERT_TRUE(simd::force_backend(backend));
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      const sim::Workload w =
-          family_workload(static_cast<int>(seed % 5), seed);
-      const double clean = Hdlts().schedule(sim::Problem(w)).makespan();
-      for (const check::FaultPlan& plan :
-           check::make_fault_plans(3, clean, seed)) {
-        const OnlineResult compiled = run_online(w, plan.failures);
-        const OnlineResult reference = reference_online(w, plan.failures);
-        expect_online_identical(compiled, reference,
-                                std::string(backend) + " seed " +
-                                    std::to_string(seed) + " plan \"" +
-                                    plan.description + "\"");
-      }
     }
   }
 }

@@ -8,7 +8,6 @@
 #include "hdlts/core/reference.hpp"
 #include "hdlts/core/stream.hpp"
 #include "hdlts/obs/trace.hpp"
-#include "hdlts/simd/kernels.hpp"
 #include "hdlts/workload/classic.hpp"
 #include "hdlts/workload/fft.hpp"
 #include "hdlts/workload/forkjoin.hpp"
@@ -36,6 +35,34 @@ TEST(Stream, RejectsBadInputs) {
   s.pop_back();
   s.push_back({small_random(2, 3), -1.0});  // negative arrival
   EXPECT_THROW(run_stream(s), InvalidArgument);
+}
+
+TEST(Stream, RejectsNonFiniteTimes) {
+  // Each check is a negated >=, so NaN fails it; an infinite arrival or
+  // busy start is rejected outright. Both the compiled run and the
+  // reference validate through the same build step.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const std::vector<StreamArrival>& s,
+                                  const std::vector<BusyInterval>& busy,
+                                  const char* what) {
+    EXPECT_THROW(run_stream(s, {}, nullptr, busy), InvalidArgument) << what;
+    EXPECT_THROW(reference_stream(s, {}, busy), InvalidArgument) << what;
+  };
+  std::vector<StreamArrival> s;
+  s.push_back({small_random(1), kNaN});
+  s.push_back({small_random(2), 0.0});
+  expect_rejected(s, {}, "NaN arrival");
+  s[0].arrival = kInf;
+  expect_rejected(s, {}, "inf arrival");
+  s[0].arrival = 0.0;
+  s[0].deadline = kNaN;
+  expect_rejected(s, {}, "NaN deadline");
+  s[0].deadline = kInf;  // the default: no deadline
+  EXPECT_NO_THROW(run_stream(s));
+  expect_rejected(s, {{0, kNaN, 5.0}}, "NaN busy start");
+  expect_rejected(s, {{0, kInf, kInf}}, "inf busy start");
+  expect_rejected(s, {{0, 1.0, kNaN}}, "NaN busy finish");
 }
 
 TEST(Stream, SingleWorkflowHasPositiveFlowTime) {
@@ -316,33 +343,32 @@ TEST(StreamDifferential, CompileOnceRunManyIsBitIdentical) {
   }
 }
 
-class StreamBackendGuard {
- public:
-  StreamBackendGuard() : saved_(simd::active_backend()) {}
-  ~StreamBackendGuard() { simd::force_backend(saved_); }
-
- private:
-  std::string saved_;
-};
-
-TEST(StreamDifferential, CompiledMatchesReferenceUnderForcedBackends) {
+TEST(StreamDifferential, ProcessorBusyForeverMatchesReference) {
+  // Only a busy interval's start must be finite: a finish of +inf takes
+  // the processor for good. Nothing may run on it past the start, the
+  // stream still completes, and the compiled run matches the reference.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<StreamArrival> arrivals;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    arrivals.push_back({stream_family_workload(static_cast<int>(i), 30 + i),
-                        8.0 * static_cast<double>(i)});
-  }
-  for (const char* backend : {"scalar", "avx2"}) {
-    if (simd::backend(backend) == nullptr) continue;  // CPU/binary lacks it
-    StreamBackendGuard guard;
-    ASSERT_TRUE(simd::force_backend(backend));
-    for (const StreamPolicy policy :
-         {StreamPolicy::kHdltsPv, StreamPolicy::kFifoEft}) {
-      StreamOptions options;
-      options.policy = policy;
-      const StreamResult compiled = run_stream(arrivals, options);
-      const StreamResult reference = reference_stream(arrivals, options);
-      expect_stream_identical(compiled, reference, backend);
+  arrivals.push_back({stream_family_workload(0, 4), 0.0});
+  arrivals.push_back({stream_family_workload(3, 5), 15.0});
+  const std::vector<BusyInterval> busy = {{1, 10.0, kInf}};
+  for (const StreamPolicy policy :
+       {StreamPolicy::kHdltsPv, StreamPolicy::kFifoEft}) {
+    StreamOptions options;
+    options.policy = policy;
+    const StreamResult compiled = run_stream(arrivals, options, nullptr, busy);
+    const StreamResult reference = reference_stream(arrivals, options, busy);
+    const std::string label =
+        policy == StreamPolicy::kHdltsPv ? "hdlts-pv" : "fifo";
+    expect_stream_identical(compiled, reference, label);
+    EXPECT_LT(compiled.makespan, kInf) << label;
+    for (const StreamTaskExec& e : compiled.executions) {
+      if (e.proc == 1) {
+        EXPECT_LE(e.finish, 10.0) << label;
+      }
     }
+    const check::StreamValidator validator(options);
+    EXPECT_TRUE(validator.validate(arrivals, busy, compiled).empty()) << label;
   }
 }
 
