@@ -6,7 +6,6 @@
 #include "hdlts/report/chart.hpp"
 #include "hdlts/util/env.hpp"
 #include "hdlts/util/table.hpp"
-#include "hdlts/util/thread_pool.hpp"
 
 namespace hdlts::bench {
 
@@ -58,7 +57,6 @@ int run_sweep(const SweepConfig& config, const std::vector<SweepCell>& cells) {
   const auto base_seed =
       static_cast<std::uint64_t>(util::env_int("HDLTS_SEED", 42));
   const auto threads = util::env_int("HDLTS_THREADS", 0);
-  util::ThreadPool pool(threads > 0 ? static_cast<std::size_t>(threads) : 0);
   const sched::Registry registry = core::default_registry();
 
   std::vector<std::string> header{config.x_label};
@@ -76,7 +74,7 @@ int run_sweep(const SweepConfig& config, const std::vector<SweepCell>& cells) {
     metrics::CompareOptions options;
     options.repetitions = reps;
     options.base_seed = base_seed;
-    options.pool = &pool;
+    options.threads = threads > 0 ? static_cast<std::size_t>(threads) : 0;
     const auto rows =
         metrics::compare_schedulers(cell.factory, scheds, registry, options);
     std::vector<std::string> out{cell.x};

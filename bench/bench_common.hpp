@@ -6,7 +6,8 @@
 // Environment knobs:
 //   HDLTS_REPS     repetitions per cell (default 10; the paper used 1000)
 //   HDLTS_SEED     base seed (default 42)
-//   HDLTS_THREADS  worker threads for repetitions (default: hardware)
+//   HDLTS_THREADS  engine worker threads for the repetitions
+//                  (CompareOptions::threads; default 0 = hardware)
 //   HDLTS_CSV_DIR  if set, each bench also writes <name>.csv there
 //   HDLTS_SVG_DIR  if set, each bench also renders <name>.svg (a line chart
 //                  shaped like the paper's figure)

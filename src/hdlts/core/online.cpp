@@ -1,6 +1,7 @@
 #include "hdlts/core/online.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "hdlts/core/itq_engine.hpp"
 #include "hdlts/obs/metrics.hpp"
@@ -66,6 +67,13 @@ void finish_result(OnlineResult& result, obs::DecisionTrace* sink) {
 void OnlineHdlts::run_into(const sim::Problem& problem,
                            std::span<const ProcFailure> failures,
                            OnlineResult& out, obs::DecisionTrace* sink) {
+  // Negated >= so that NaN fails; a NaN would also break the plan sort's
+  // strict weak ordering.
+  for (const ProcFailure& f : failures) {
+    if (!std::isfinite(f.time) || !(f.time >= 0.0)) {
+      throw InvalidArgument("failure times must be finite and non-negative");
+    }
+  }
   const sim::CompiledProblem& cp = problem.compiled();
   util::ScratchArena& arena = arena_;
   arena.reset();

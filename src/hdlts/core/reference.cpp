@@ -1,6 +1,7 @@
 #include "hdlts/core/reference.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "hdlts/graph/algorithms.hpp"
@@ -251,6 +252,11 @@ OnlineResult reference_online(const sim::Workload& workload,
   const auto entries = g.entry_tasks();
   const bool unique_entry = entries.size() == 1;
 
+  for (const ProcFailure& f : failures) {
+    if (!std::isfinite(f.time) || !(f.time >= 0.0)) {
+      throw InvalidArgument("failure times must be finite and non-negative");
+    }
+  }
   std::vector<ProcFailure> plan(failures.begin(), failures.end());
   std::sort(plan.begin(), plan.end(),
             [](const ProcFailure& a, const ProcFailure& b) {

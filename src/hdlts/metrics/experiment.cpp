@@ -23,146 +23,82 @@ struct CellResult {
   bool missed_deadline = false;
 };
 
-/// Fills the multi-objective cell fields; one body for the serial and
-/// batched paths so their doubles match bitwise. The deadline is
-/// scheduler-independent (a function of the problem alone), so every
-/// scheduler races the same bound on a given repetition.
-void fill_objectives(const sim::Problem& problem, const sim::Schedule& schedule,
-                     double deadline_factor, CellResult& cell) {
-  cell.energy = energy(problem, schedule).total();
-  cell.missed_deadline =
-      deadline_factor > 0.0 &&
-      cell.makespan > deadline_factor * makespan_lower_bound(problem);
-}
-
-/// Shared rep runner: fills `cells` (rep-major) or records a failure.
-///
-/// With a pool the repetitions run through svc::BatchEngine (one request per
-/// repetition, carrying the workload factory and the derived seed), whose
-/// drain loops occupy the caller's otherwise-idle pool; each engine worker
-/// caches its scheduler instances, so construction stays hoisted out of the
-/// repetition loop exactly as in the serial path. Results are keyed by
-/// (repetition, scheduler index), so the cells are identical regardless of
-/// worker interleaving.
+/// Fills `cells` (rep-major) by running the repetitions through a scoped
+/// svc::BatchEngine: one request per repetition, carrying the workload
+/// factory and the derived seed. Each engine worker caches its scheduler
+/// instances, so construction stays hoisted out of the repetition loop.
+/// Results are keyed by (repetition, scheduler index), so the cells are
+/// identical regardless of thread count or worker interleaving. Throws the
+/// lowest failed repetition's first failure.
 void run_repetitions(const WorkloadFactory& factory,
                      const std::vector<std::string>& scheduler_names,
                      const sched::Registry& registry,
                      const CompareOptions& options,
-                     std::vector<CellResult>& cells,
-                     std::vector<std::string>& failures) {
+                     std::vector<CellResult>& cells) {
+  const obs::TimingSpan span("experiment.run_repetitions");
   const std::size_t ns = scheduler_names.size();
-  auto run_rep = [&](std::size_t rep,
-                     const std::vector<sched::SchedulerPtr>& schedulers,
-                     sim::Schedule& schedule) {
+  std::vector<std::string> failures(options.repetitions);
+  // Runs on the engine workers. A repetition's results all arrive on the
+  // one worker that ran it, in scheduler order, so failures[r.id] and the
+  // repetition's cells have a single writer. Validation happens here (not
+  // via the engine's check_schedules) so a violation names its scheduler.
+  // Nothing may escape to the worker: a throwing metric is recorded like
+  // any other failure.
+  auto on_result = [&](const svc::BatchResult& r) {
+    std::string& failure = failures[r.id];
+    if (!failure.empty()) return;  // keep the repetition's first failure
     try {
-      const std::uint64_t seed =
-          util::derive_seed(options.base_seed, 0x9d1cULL, rep);
-      const sim::Workload workload = factory(seed);
-      const sim::Problem problem(workload);
-      for (std::size_t si = 0; si < ns; ++si) {
-        // Recycled per-chunk Schedule + each scheduler's scratch arena: a
-        // steady-state repetition allocates only the workload itself.
-        schedulers[si]->schedule_into(problem, schedule);
-        if (options.check_schedules) {
-          const auto violations = schedule.validate(problem);
-          if (!violations.empty()) {
-            failures[rep] = scheduler_names[si] + ": " + violations.front();
-            return;
-          }
-        }
-        CellResult& cell = cells[rep * ns + si];
-        cell.slr = slr(problem, schedule);
-        cell.speedup = speedup(problem, schedule);
-        cell.efficiency = efficiency(problem, schedule);
-        cell.makespan = schedule.makespan();
-        fill_objectives(problem, schedule, options.deadline_factor, cell);
-      }
-    } catch (const std::exception& e) {
-      failures[rep] = e.what();
-    }
-  };
-  auto run_chunk = [&](std::size_t begin, std::size_t end) {
-    const obs::TimingSpan chunk_span("experiment.chunk");
-    std::vector<sched::SchedulerPtr> schedulers;
-    schedulers.reserve(ns);
-    try {
-      for (const std::string& name : scheduler_names) {
-        schedulers.push_back(registry.make(name));
-        schedulers.back()->set_trace_sink(options.trace_sink);
-      }
-    } catch (const std::exception& e) {
-      // Pool tasks must not throw; surface the construction failure the same
-      // way a failed repetition is surfaced.
-      for (std::size_t rep = begin; rep < end; ++rep) failures[rep] = e.what();
-      return;
-    }
-    // Seed shape is irrelevant: schedule_into resets to the problem's shape,
-    // keeping capacities so repetitions recycle the buffers.
-    sim::Schedule schedule(0, 1);
-    for (std::size_t rep = begin; rep < end; ++rep) {
-      run_rep(rep, schedulers, schedule);
-    }
-  };
-  auto run_batched = [&] {
-    // Validation happens in the callback (not via the engine's own
-    // check_schedules) so the failure messages match the serial path
-    // byte-for-byte. The callback runs on the engine workers: every write
-    // lands in a cell owned by this (repetition, scheduler) pair, and
-    // failures[rep] is only written by the single worker processing `rep`.
-    auto on_result = [&](const svc::BatchResult& r) {
       if (!r.ok) {
-        if (failures[r.id].empty()) failures[r.id] = std::string(r.error);
+        failure = r.error;
         return;
       }
       if (options.check_schedules) {
         const auto violations = r.schedule->validate(*r.problem);
         if (!violations.empty()) {
-          if (failures[r.id].empty()) {
-            failures[r.id] =
-                scheduler_names[r.scheduler_index] + ": " + violations.front();
-          }
+          failure =
+              scheduler_names[r.scheduler_index] + ": " + violations.front();
           return;
         }
       }
+      const sim::Problem& problem = *r.problem;
+      const sim::Schedule& schedule = *r.schedule;
       CellResult& cell = cells[r.id * ns + r.scheduler_index];
-      cell.slr = slr(*r.problem, *r.schedule);
-      cell.speedup = speedup(*r.problem, *r.schedule);
-      cell.efficiency = efficiency(*r.problem, *r.schedule);
-      cell.makespan = r.schedule->makespan();
-      fill_objectives(*r.problem, *r.schedule, options.deadline_factor, cell);
-    };
-    svc::BatchEngineOptions engine_options;
-    engine_options.pool = options.pool;
-    engine_options.queue_capacity = std::max<std::size_t>(
-        std::size_t{64}, options.pool->size() * 4);
-    engine_options.trace_sink = options.trace_sink;
-    svc::BatchEngine engine(registry, on_result, engine_options);
-    svc::BatchRequest request;
-    request.generator = &factory;
-    request.schedulers = scheduler_names;
-    for (std::size_t rep = 0; rep < options.repetitions; ++rep) {
-      request.id = rep;
-      request.seed = util::derive_seed(options.base_seed, 0x9d1cULL, rep);
-      engine.submit(request);  // blocking: the bounded queue is backpressure
+      cell.slr = slr(problem, schedule);
+      cell.speedup = speedup(problem, schedule);
+      cell.efficiency = efficiency(problem, schedule);
+      cell.makespan = schedule.makespan();
+      cell.energy = energy(problem, schedule).total();
+      // The deadline is a function of the problem alone, so every scheduler
+      // races the same bound on a given repetition.
+      cell.missed_deadline =
+          options.deadline_factor > 0.0 &&
+          cell.makespan >
+              options.deadline_factor * makespan_lower_bound(problem);
+    } catch (const std::exception& e) {
+      failure = e.what();
     }
-    engine.shutdown(svc::BatchEngine::Drain::kDrain);
   };
-  {
-    const obs::TimingSpan span("experiment.run_repetitions");
-    if (options.pool != nullptr) {
-      run_batched();
-    } else {
-      run_chunk(0, options.repetitions);
-    }
+  svc::BatchEngineOptions engine_options;
+  engine_options.threads = options.threads;
+  engine_options.queue_capacity =
+      std::max<std::size_t>(64, options.threads * 4);
+  engine_options.trace_sink = options.trace_sink;
+  svc::BatchEngine engine(registry, on_result, engine_options);
+  svc::BatchRequest request;
+  request.generator = &factory;
+  request.schedulers = scheduler_names;
+  for (std::size_t rep = 0; rep < options.repetitions; ++rep) {
+    request.id = rep;
+    request.seed = util::derive_seed(options.base_seed, 0x9d1cULL, rep);
+    engine.submit(request);  // blocking: the bounded queue is backpressure
   }
-  {
-    static obs::Counter& reps_counter =
-        obs::MetricRegistry::global().counter("experiment.repetitions");
-    static obs::Counter& schedules_counter =
-        obs::MetricRegistry::global().counter("experiment.schedules");
-    reps_counter.add(options.repetitions);
-    schedules_counter.add(options.repetitions * ns);
-  }
+  engine.shutdown(svc::BatchEngine::Drain::kDrain);  // joins the workers
+  static obs::Counter& reps_counter =
+      obs::MetricRegistry::global().counter("experiment.repetitions");
+  static obs::Counter& schedules_counter =
+      obs::MetricRegistry::global().counter("experiment.schedules");
+  reps_counter.add(options.repetitions);
+  schedules_counter.add(options.repetitions * ns);
   for (const std::string& f : failures) {
     if (!f.empty()) throw Error("experiment repetition failed: " + f);
   }
@@ -188,12 +124,8 @@ std::vector<SchedulerSummary> compare_schedulers(
   const std::size_t ns = scheduler_names.size();
   const std::size_t reps = options.repetitions;
 
-  // Each worker instantiates its own scheduler objects (they are not
-  // required to be thread-safe) but shares nothing mutable across reps.
   std::vector<CellResult> cells(ns * reps);
-  std::vector<std::string> failures(reps);
-  run_repetitions(factory, scheduler_names, registry, options, cells,
-                  failures);
+  run_repetitions(factory, scheduler_names, registry, options, cells);
 
   std::vector<SchedulerSummary> out(ns);
   for (std::size_t si = 0; si < ns; ++si) {
@@ -275,9 +207,7 @@ std::vector<std::vector<double>> win_matrix(
   const std::size_t ns = scheduler_names.size();
   const std::size_t reps = options.repetitions;
   std::vector<CellResult> cells(ns * reps);
-  std::vector<std::string> failures(reps);
-  run_repetitions(factory, scheduler_names, registry, options, cells,
-                  failures);
+  run_repetitions(factory, scheduler_names, registry, options, cells);
 
   std::vector<std::vector<double>> matrix(ns, std::vector<double>(ns, 0.0));
   for (std::size_t rep = 0; rep < reps; ++rep) {

@@ -1,7 +1,8 @@
 // Experiment harness: runs a set of schedulers over many seeded repetitions
-// of a workload family and aggregates the paper's metrics. Repetitions are
-// independent and each derives its RNG from (base seed, repetition), so the
-// results are identical whether they run on 1 thread or many.
+// of a workload family and aggregates the paper's metrics. The repetitions
+// run as requests on a scoped svc::BatchEngine; each derives its RNG from
+// (base seed, repetition) and its results are keyed by repetition, so the
+// summaries are bit-identical at every thread count.
 #pragma once
 
 #include <functional>
@@ -12,7 +13,6 @@
 #include "hdlts/sched/registry.hpp"
 #include "hdlts/sim/problem.hpp"
 #include "hdlts/util/stats.hpp"
-#include "hdlts/util/thread_pool.hpp"
 
 namespace hdlts::obs {
 class DecisionTrace;
@@ -45,11 +45,13 @@ struct CompareOptions {
   std::uint64_t base_seed = 42;
   /// Validate every schedule against the problem (on in tests; costs time).
   bool check_schedules = false;
-  /// Optional pool; when null the repetitions run sequentially.
-  util::ThreadPool* pool = nullptr;
-  /// Optional decision-trace sink attached to every scheduler instance. The
-  /// sink must be thread-safe when `pool` is set (obs::RecordingTrace is);
-  /// events from different repetitions interleave in arrival order.
+  /// Engine worker threads running the repetitions (0 = hardware
+  /// concurrency). Results do not depend on it.
+  std::size_t threads = 1;
+  /// Optional decision-trace sink attached to every scheduler instance. It
+  /// is called from the engine's worker threads, so it must be thread-safe
+  /// (obs::RecordingTrace is); with threads > 1, events from different
+  /// repetitions interleave in arrival order.
   obs::DecisionTrace* trace_sink = nullptr;
   /// Multi-objective mode: when > 0 every repetition gets the
   /// scheduler-independent deadline deadline_factor * makespan_lower_bound
@@ -60,9 +62,11 @@ struct CompareOptions {
 };
 
 /// Runs every named scheduler from `registry` on `repetitions` workloads
-/// drawn from `factory`. Throws if a scheduler produces an invalid schedule
-/// while check_schedules is set. Summaries come back in the order of
-/// `scheduler_names`.
+/// drawn from `factory`. Summaries come back in the order of
+/// `scheduler_names`. Throws Error("experiment repetition failed: <msg>")
+/// for the lowest failed repetition, with that repetition's first failure:
+/// a factory, scheduler or metric throw (e.g. SLR of a zero-cost critical
+/// path), or an invalid schedule while check_schedules is set.
 std::vector<SchedulerSummary> compare_schedulers(
     const WorkloadFactory& factory,
     const std::vector<std::string>& scheduler_names,

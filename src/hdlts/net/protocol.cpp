@@ -421,8 +421,9 @@ ParsedRequest parse_request(std::string_view frame, const Limits& limits) {
           failure.proc = static_cast<platform::ProcId>(proc_id);
           if (const auto* time = entry.find("time"); time != nullptr) {
             failure.time = as_double(*time, "failure.time");
-            if (!(failure.time >= 0)) {
-              fail(ErrorCode::kMalformedRequest, "failure.time must be >= 0");
+            if (!std::isfinite(failure.time) || !(failure.time >= 0)) {
+              fail(ErrorCode::kMalformedRequest,
+                   "failure.time must be finite and >= 0");
             }
           }
           req.failures.push_back(failure);

@@ -7,8 +7,6 @@
 
 namespace hdlts::sim {
 
-std::string json_escape(const std::string& s) { return util::json_escape(s); }
-
 namespace {
 
 using util::write_json_number;
@@ -17,7 +15,7 @@ void write_block(std::ostream& os, const Placement& pl,
                  const graph::TaskGraph* graph) {
   os << "{\"task\":" << pl.task;
   if (graph != nullptr && graph->contains(pl.task)) {
-    os << ",\"name\":\"" << json_escape(graph->name(pl.task)) << "\"";
+    os << ",\"name\":\"" << util::json_escape(graph->name(pl.task)) << "\"";
   }
   os << ",\"proc\":" << pl.proc << ",\"start\":";
   write_json_number(os, pl.start);

@@ -23,8 +23,4 @@ std::string schedule_json(const Schedule& schedule,
 void write_replay_json(std::ostream& os, const EngineResult& result);
 std::string replay_json(const EngineResult& result);
 
-/// Escapes a string for embedding in JSON (quotes, backslashes, control
-/// characters).
-std::string json_escape(const std::string& s);
-
 }  // namespace hdlts::sim

@@ -1,5 +1,6 @@
 #include "hdlts/svc/batch_engine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <optional>
@@ -71,29 +72,26 @@ BatchEngine::BatchEngine(const sched::Registry& registry, ResultFn on_result,
   capacity_ = options_.queue_capacity;
   ring_.resize(capacity_);
 
-  util::ThreadPool* pool = options_.pool;
-  if (pool == nullptr) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-    pool = owned_pool_.get();
-  }
-  drain_loops_ = pool->size();
-  workers_.reserve(drain_loops_);
-  for (std::size_t i = 0; i < drain_loops_; ++i) {
+  const std::size_t threads =
+      options_.threads > 0
+          ? options_.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  loops_running_ = drain_loops_;
-  for (std::size_t i = 0; i < drain_loops_; ++i) {
-    Worker* worker = workers_[i].get();
-    pool->submit([this, worker] { worker_loop(*worker); });
+  threads_.reserve(threads);
+  try {
+    for (const auto& worker : workers_) {
+      threads_.emplace_back([this, w = worker.get()] { worker_loop(*w); });
+    }
+  } catch (...) {
+    shutdown(Drain::kCancel);  // joins the threads already started
+    throw;
   }
 }
 
-BatchEngine::~BatchEngine() {
-  shutdown(Drain::kDrain);
-  // Own pool: joining its threads here (after every drain loop exited) is
-  // immediate. External pool: the loops have already returned its workers.
-  owned_pool_.reset();
-}
+BatchEngine::~BatchEngine() { shutdown(Drain::kDrain); }
 
 namespace {
 
@@ -237,7 +235,7 @@ void BatchEngine::wait_idle() {
 
 void BatchEngine::shutdown(Drain mode) {
   {
-    std::unique_lock lock(mu_);
+    std::lock_guard lock(mu_);
     if (!closed_) {
       closed_ = true;
       if (mode == Drain::kCancel && size_ > 0) {
@@ -256,8 +254,11 @@ void BatchEngine::shutdown(Drain mode) {
         idle_.notify_all();
       }
     }
-    exited_.wait(lock, [this] { return loops_running_ == 0; });
   }
+  // Workers see closed_ with an empty ring and leave their loops.
+  std::call_once(joined_, [this] {
+    for (std::thread& thread : threads_) thread.join();
+  });
   wait_idle();  // no-op by now; refreshes the throughput gauge
 }
 
@@ -306,14 +307,10 @@ void BatchEngine::note_request_done() {
 }
 
 void BatchEngine::worker_loop(Worker& worker) {
-  for (;;) {
-    if (!pop(worker)) break;
+  while (pop(worker)) {
     process(worker, worker.request);
     note_request_done();
   }
-  std::lock_guard lock(mu_);
-  --loops_running_;
-  if (loops_running_ == 0) exited_.notify_all();
 }
 
 void BatchEngine::process(Worker& worker, const BatchRequest& request) {

@@ -1,13 +1,15 @@
 // Concurrent batch-scheduling engine: many independent scheduling requests
-// drained across a fixed worker pool (docs/CONCURRENCY.md).
+// drained across a fixed set of worker threads (docs/CONCURRENCY.md). It is
+// the library's one concurrency component: the serve daemon and the
+// experiment harness (metrics::compare_schedulers) both run on it.
 //
-// The per-decision kernels (PR 1/2) are fast but serial — one workflow at a
-// time on one thread. BatchEngine is the service layer on top: callers
-// submit (problem, scheduler names, seed) requests and a util::ThreadPool of
-// drain loops executes them, each worker owning a recycled sim::Schedule, a
-// per-scheduler instance cache (whose ScratchArena warms once), and a
-// reusable error buffer — so the steady state stays zero-allocation per
-// request (tests/alloc_test.cpp::BatchEngineSteadyState).
+// The per-decision kernels are fast but serial — one workflow at a time on
+// one thread. BatchEngine is the service layer on top: callers submit
+// (problem, scheduler names, seed) requests and the engine's own threads
+// drain them, each worker owning a recycled sim::Schedule, a per-scheduler
+// instance cache (whose ScratchArena warms once), and a reusable error
+// buffer — so the steady state stays zero-allocation per request
+// (tests/alloc_test.cpp::BatchEngineSteadyState).
 //
 // Queueing: one bounded ring of queue_capacity slots under the engine mutex.
 // Workers pop the oldest request, so requests start in submission order and
@@ -28,7 +30,8 @@
 // Shutdown: shutdown(Drain::kDrain) closes the queue and finishes every
 // queued request; shutdown(Drain::kCancel) drops queued requests (counted
 // as cancelled, no callback) but still lets in-flight work finish — threads
-// cannot be interrupted mid-schedule. The destructor drains.
+// cannot be interrupted mid-schedule. Either way it joins the worker threads
+// exactly once. The destructor drains.
 #pragma once
 
 #include <atomic>
@@ -41,6 +44,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "hdlts/core/online.hpp"
@@ -48,7 +52,6 @@
 #include "hdlts/sched/registry.hpp"
 #include "hdlts/sim/problem.hpp"
 #include "hdlts/sim/schedule.hpp"
-#include "hdlts/util/thread_pool.hpp"
 
 namespace hdlts::obs {
 class DecisionTrace;
@@ -125,12 +128,12 @@ struct BatchResult {
   const core::StreamResult* stream = nullptr;
 };
 
-/// Must be thread-safe: workers invoke it concurrently.
+/// Must be thread-safe: workers invoke it concurrently. Must not throw: it
+/// runs on a worker thread, where an escaping exception ends the process.
 using ResultFn = std::function<void(const BatchResult&)>;
 
 struct BatchEngineOptions {
-  /// Worker count when the engine owns its pool (0 = hardware concurrency).
-  /// Ignored when `pool` is set.
+  /// Worker threads (0 = hardware concurrency, at least 1).
   std::size_t threads = 0;
   /// Submission ring capacity (>= 1). Submissions beyond it block/reject.
   std::size_t queue_capacity = 256;
@@ -143,11 +146,6 @@ struct BatchEngineOptions {
   /// Optional decision-trace sink attached to every scheduler instance;
   /// must be thread-safe (obs::RecordingTrace is).
   obs::DecisionTrace* trace_sink = nullptr;
-  /// External pool to run the drain loops on. The engine occupies EVERY
-  /// worker of the pool until shutdown, so the pool must not have other
-  /// concurrent users (metrics::run_repetitions lends its otherwise-idle
-  /// pool this way). Null: the engine owns a pool of `threads` workers.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Monotone totals since construction. After shutdown:
@@ -173,7 +171,7 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  std::size_t threads() const { return drain_loops_; }
+  std::size_t threads() const { return workers_.size(); }
   std::size_t queue_capacity() const { return capacity_; }
 
   /// Enqueues without blocking; false (and ++rejected) when the queue is
@@ -198,9 +196,10 @@ class BatchEngine {
               ///< work still finishes
   };
 
-  /// Closes the queue (subsequent submissions are rejected) and blocks
-  /// until every worker has exited its drain loop. Idempotent; the second
-  /// call's mode is ignored.
+  /// Closes the queue (subsequent submissions are rejected) and joins the
+  /// worker threads. Idempotent and safe to call from several threads at
+  /// once: every call returns after the one join; a later call's mode is
+  /// ignored. Must not be called from the result callback.
   void shutdown(Drain mode = Drain::kDrain);
 
   BatchEngineStats stats() const;
@@ -228,7 +227,6 @@ class BatchEngine {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::condition_variable idle_;
-  std::condition_variable exited_;
   /// Copy-assigned, never destroyed: after one lap every slot's strings and
   /// vectors hold their high-water capacity, so queueing allocates nothing.
   std::vector<BatchRequest> ring_;  // guarded by mu_
@@ -247,9 +245,9 @@ class BatchEngine {
   bool saw_submit_ = false;                               // guarded by mu_
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::size_t drain_loops_ = 0;
-  std::size_t loops_running_ = 0;  // guarded by mu_
-  std::unique_ptr<util::ThreadPool> owned_pool_;
+  std::once_flag joined_;  // shutdown joins threads_ exactly once
+  /// Declared last: each thread runs worker_loop over the members above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace hdlts::svc

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -373,6 +376,118 @@ TEST(BatchEngine, SubmissionsAfterShutdownAreRejected) {
   EXPECT_FALSE(engine.submit(request, std::chrono::milliseconds(5)));
   EXPECT_EQ(engine.stats().rejected, 3u);
   EXPECT_EQ(engine.stats().submitted, 0u);
+}
+
+TEST(BatchEngine, ZeroThreadsMeansHardwareConcurrency) {
+  // threads = 0 asks for one worker per hardware thread, at least one, and
+  // each is a live thread: a barrier generator holds every request until
+  // threads() distinct workers are inside one at once.
+  const std::size_t want =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  std::mutex mu;
+  std::condition_variable all_in;
+  std::set<std::thread::id> inside;  // guarded by mu
+  bool timed_out = false;            // guarded by mu
+  const svc::WorkloadFn barrier = [&](std::uint64_t seed) {
+    std::unique_lock lock(mu);
+    inside.insert(std::this_thread::get_id());
+    all_in.notify_all();
+    if (!all_in.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return inside.size() >= want; })) {
+      timed_out = true;
+    }
+    return make_workload(10, 2, seed);
+  };
+  const sched::Registry registry = core::default_registry();
+  Collector collector;
+  BatchEngineOptions options;
+  options.threads = 0;
+  BatchEngine engine(registry, collector.callback(), options);
+  ASSERT_EQ(engine.threads(), want);
+  BatchRequest request;
+  request.generator = &barrier;
+  request.schedulers = {"heft"};
+  for (std::size_t i = 0; i < want; ++i) {
+    request.id = i;
+    ASSERT_TRUE(engine.submit(request));
+  }
+  engine.shutdown();
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(inside.size(), want);
+  EXPECT_EQ(collector.entries.size(), want);
+}
+
+TEST(BatchEngine, OneThreadRunsEveryRequestInOrderOnItsWorker) {
+  // threads = 1 is the harness default: one owned worker, not the
+  // submitting thread, runs every request, oldest first.
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, std::uint64_t>> runs;  // guarded
+  const svc::WorkloadFn recording = [&](std::uint64_t seed) {
+    {
+      std::lock_guard lock(mu);
+      runs.emplace_back(std::this_thread::get_id(), seed);
+    }
+    return make_workload(10, 2, seed);
+  };
+  const sched::Registry registry = core::default_registry();
+  Collector collector;
+  BatchEngineOptions options;
+  options.threads = 1;
+  options.queue_capacity = 4;  // smaller than the batch: submit blocks
+  BatchEngine engine(registry, collector.callback(), options);
+  ASSERT_EQ(engine.threads(), 1u);
+  BatchRequest request;
+  request.generator = &recording;
+  request.schedulers = {"heft"};
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    request.id = i;
+    request.seed = 100 + i;
+    ASSERT_TRUE(engine.submit(request));
+  }
+  engine.shutdown();
+  ASSERT_EQ(runs.size(), 20u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].first, runs[0].first) << "request " << i;
+    EXPECT_EQ(runs[i].second, 100 + i) << "request " << i;
+  }
+  EXPECT_NE(runs[0].first, std::this_thread::get_id());
+  EXPECT_EQ(collector.entries.size(), 20u);
+}
+
+TEST(BatchEngine, ConcurrentShutdownsJoinOnce) {
+  // Two threads shut down while a request is in flight: neither returns
+  // before it finishes, and the workers are joined once between them.
+  const sched::Registry registry = core::default_registry();
+  GateGenerator gate;
+  Collector collector;
+  BatchEngineOptions options;
+  options.threads = 2;
+  BatchEngine engine(registry, collector.callback(), options);
+  BatchRequest blocked;
+  blocked.id = 7;
+  blocked.generator = &gate.fn;
+  blocked.schedulers = {"heft"};
+  ASSERT_TRUE(engine.submit(blocked));
+  gate.wait_entered();
+  std::atomic<int> returned{0};
+  std::thread drain([&] {
+    engine.shutdown(BatchEngine::Drain::kDrain);
+    returned.fetch_add(1);
+  });
+  std::thread cancel([&] {
+    engine.shutdown(BatchEngine::Drain::kCancel);
+    returned.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), 0);
+  gate.release();
+  drain.join();
+  cancel.join();
+  EXPECT_EQ(returned.load(), 2);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled);
+  EXPECT_EQ(collector.entries.size(), 1u);
 }
 
 TEST(BatchEngine, MalformedRequestsThrow) {

@@ -1,5 +1,11 @@
-// Experiment harness tests: determinism, pool-independence, aggregation.
+// Experiment harness tests: determinism, thread-count independence,
+// failure reporting, aggregation.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "hdlts/core/hdlts.hpp"
 #include "hdlts/metrics/experiment.hpp"
@@ -57,21 +63,47 @@ TEST(Experiment, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a[0].makespan.mean(), b[0].makespan.mean());
 }
 
-TEST(Experiment, PoolAndSerialAgreeExactly) {
+TEST(Experiment, ThreadCountsAgreeExactly) {
   const sched::Registry reg = core::default_registry();
-  CompareOptions serial;
-  serial.repetitions = 6;
-  util::ThreadPool pool(4);
-  CompareOptions parallel = serial;
-  parallel.pool = &pool;
+  CompareOptions one;
+  one.repetitions = 6;
+  CompareOptions four = one;
+  four.threads = 4;
   const auto a = compare_schedulers(small_random_factory(), {"hdlts", "heft"},
-                                    reg, serial);
+                                    reg, one);
   const auto b = compare_schedulers(small_random_factory(), {"hdlts", "heft"},
-                                    reg, parallel);
+                                    reg, four);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].slr.mean(), b[i].slr.mean());
     EXPECT_DOUBLE_EQ(a[i].speedup.mean(), b[i].speedup.mean());
     EXPECT_EQ(a[i].wins, b[i].wins);
+  }
+}
+
+TEST(Experiment, MoreThreadsThanRepetitionsAgreeExactly) {
+  // Workers beyond the repetition count stay idle; every aggregate still
+  // matches the one-thread run bit for bit.
+  const sched::Registry reg = core::default_registry();
+  CompareOptions one;
+  one.repetitions = 3;
+  one.deadline_factor = 1.5;
+  CompareOptions eight = one;
+  eight.threads = 8;
+  const std::vector<std::string> names{"hdlts", "heft", "cpop"};
+  const auto a = compare_schedulers(small_random_factory(), names, reg, one);
+  const auto b = compare_schedulers(small_random_factory(), names, reg, eight);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].scheduler, b[i].scheduler);
+    EXPECT_EQ(a[i].slr.mean(), b[i].slr.mean());
+    EXPECT_EQ(a[i].slr.variance_sample(), b[i].slr.variance_sample());
+    EXPECT_EQ(a[i].speedup.mean(), b[i].speedup.mean());
+    EXPECT_EQ(a[i].efficiency.mean(), b[i].efficiency.mean());
+    EXPECT_EQ(a[i].makespan.min(), b[i].makespan.min());
+    EXPECT_EQ(a[i].makespan.max(), b[i].makespan.max());
+    EXPECT_EQ(a[i].energy.mean(), b[i].energy.mean());
+    EXPECT_EQ(a[i].wins, b[i].wins);
+    EXPECT_EQ(a[i].deadline_miss_rate, b[i].deadline_miss_rate);
   }
 }
 
@@ -98,22 +130,114 @@ TEST(Experiment, RejectsEmptyInputs) {
       InvalidArgument);
 }
 
-TEST(Experiment, UnknownSchedulerFailsOnPoolAndSerialPaths) {
+TEST(Experiment, UnknownSchedulerFailsAtEveryThreadCount) {
   // Scheduler construction is hoisted out of the repetition loop (one
-  // Registry::make set per worker chunk); a bad name must still surface as
-  // the same Error on both execution paths.
+  // Registry::make per engine worker); a bad name must still surface as
+  // the same Error however many workers run.
   const sched::Registry reg = core::default_registry();
-  CompareOptions serial;
-  serial.repetitions = 3;
-  EXPECT_THROW(
-      compare_schedulers(small_random_factory(), {"no-such"}, reg, serial),
-      Error);
-  util::ThreadPool pool(2);
-  CompareOptions parallel = serial;
-  parallel.pool = &pool;
-  EXPECT_THROW(
-      compare_schedulers(small_random_factory(), {"no-such"}, reg, parallel),
-      Error);
+  CompareOptions opt;
+  opt.repetitions = 3;
+  for (const std::size_t threads : {1u, 2u}) {
+    opt.threads = threads;
+    EXPECT_THROW(
+        compare_schedulers(small_random_factory(), {"no-such"}, reg, opt),
+        Error)
+        << threads << " threads";
+  }
+}
+
+TEST(Experiment, ZeroCostWorkloadThrowsAtEveryThreadCount) {
+  // SLR is undefined when the critical path costs nothing. The metric
+  // throws on an engine worker; the harness must turn that into its usual
+  // catchable Error, not let it end the process.
+  const WorkloadFactory zero_cost = [](std::uint64_t) {
+    graph::TaskGraph g;
+    g.add_task("a", 0.0);
+    g.add_task("b", 0.0);
+    g.add_edge(0, 1, 0.0);
+    return sim::Workload{std::move(g), sim::CostTable(2, 2),
+                         platform::Platform(2)};
+  };
+  const sched::Registry reg = core::default_registry();
+  CompareOptions opt;
+  opt.repetitions = 5;
+  for (const std::size_t threads : {1u, 4u}) {
+    opt.threads = threads;
+    try {
+      (void)compare_schedulers(zero_cost, {"hdlts", "heft"}, reg, opt);
+      ADD_FAILURE() << "no throw at " << threads << " threads";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "experiment repetition failed: SLR undefined: critical path "
+                "has zero cost")
+          << threads << " threads";
+    }
+  }
+}
+
+TEST(Experiment, FailureNamesLowestRepetitionAtEveryThreadCount) {
+  // Two repetitions fail. Whichever worker fails first in time, the error
+  // is the lower repetition's, so it reads the same at every thread count.
+  const sched::Registry reg = core::default_registry();
+  CompareOptions opt;
+  opt.repetitions = 8;
+  // One worker starts requests in submission order, so the seeds it sees
+  // are the repetitions' seeds in repetition order.
+  std::vector<std::uint64_t> seeds;
+  const WorkloadFactory recording = [&seeds](std::uint64_t seed) {
+    seeds.push_back(seed);
+    return small_random_factory()(seed);
+  };
+  (void)compare_schedulers(recording, {"heft"}, reg, opt);
+  ASSERT_EQ(seeds.size(), opt.repetitions);
+  const WorkloadFactory failing = [&seeds](std::uint64_t seed) {
+    if (seed == seeds[2] || seed == seeds[6]) {
+      throw Error("factory failed at seed " + std::to_string(seed));
+    }
+    return small_random_factory()(seed);
+  };
+  const std::string want = "experiment repetition failed: factory failed "
+                           "at seed " + std::to_string(seeds[2]);
+  for (const std::size_t threads : {1u, 4u}) {
+    opt.threads = threads;
+    try {
+      (void)compare_schedulers(failing, {"hdlts", "heft"}, reg, opt);
+      ADD_FAILURE() << "no throw at " << threads << " threads";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want) << threads << " threads";
+    }
+  }
+}
+
+/// Returns a schedule with no task placed: every validation fails.
+class UnplacedScheduler final : public sched::Scheduler {
+ public:
+  std::string name() const override { return "unplaced"; }
+  sim::Schedule schedule(const sim::Problem& problem) const override {
+    return sim::Schedule(problem.num_tasks(), problem.num_procs());
+  }
+};
+
+TEST(Experiment, InvalidScheduleFailureNamesSchedulerAtEveryThreadCount) {
+  // check_schedules validates on the engine workers; a violation surfaces
+  // as the harness Error, prefixed with the scheduler that produced it.
+  sched::Registry reg = core::default_registry();
+  reg.add("unplaced", [] { return std::make_unique<UnplacedScheduler>(); });
+  CompareOptions opt;
+  opt.repetitions = 4;
+  opt.check_schedules = true;
+  for (const std::size_t threads : {1u, 4u}) {
+    opt.threads = threads;
+    try {
+      (void)compare_schedulers(small_random_factory(), {"heft", "unplaced"},
+                               reg, opt);
+      ADD_FAILURE() << "no throw at " << threads << " threads";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "experiment repetition failed: unplaced: task 0 is not placed")
+          << threads << " threads";
+    }
+  }
 }
 
 TEST(Experiment, PropagatesFactoryFailure) {
@@ -155,6 +279,17 @@ TEST(Experiment, WinMatrixDeterministic) {
   const auto a = win_matrix(small_random_factory(), names, reg, opt);
   const auto b = win_matrix(small_random_factory(), names, reg, opt);
   EXPECT_EQ(a, b);
+}
+
+TEST(Experiment, WinMatrixAgreesAcrossThreadCounts) {
+  const sched::Registry reg = core::default_registry();
+  CompareOptions one;
+  one.repetitions = 7;
+  CompareOptions three = one;
+  three.threads = 3;
+  const std::vector<std::string> names{"hdlts", "heft", "random"};
+  EXPECT_EQ(win_matrix(small_random_factory(), names, reg, one),
+            win_matrix(small_random_factory(), names, reg, three));
 }
 
 TEST(Experiment, UnknownSchedulerNameFails) {

@@ -425,6 +425,23 @@ TEST(ParseRequest, RejectsNonFiniteArrival) {
   }
 }
 
+TEST(ParseRequest, RejectsNonFiniteFailureTime) {
+  // 1e999 overflows to +inf; a failure that never happens is not a fault
+  // plan the online runtime accepts.
+  try {
+    net::parse_request(
+        "{\"op\":\"submit\",\"id\":4,\"kind\":\"online\","
+        "\"generator\":{},\"failures\":[{\"proc\":0,\"time\":1e999}]}",
+        {});
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(net::render_error(e.code(), e.what(), e.id(), e.tenant()),
+              "{\"ok\":false,\"code\":1,\"error\":\"MalformedRequest\","
+              "\"message\":\"failure.time must be finite and >= 0\","
+              "\"id\":4}\n");
+  }
+}
+
 TEST(ParseRequest, OverLimitsTaxonomy) {
   Limits limits;
   limits.max_schedulers = 1;

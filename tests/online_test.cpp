@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "hdlts/check/faultplan.hpp"
 #include "hdlts/check/validate.hpp"
@@ -128,6 +130,18 @@ TEST(Online, DuplicateFailureOfSameProcIgnored) {
   const std::vector<ProcFailure> fails{{1, 30.0}, {1, 40.0}};
   const OnlineResult r = run_online(w, fails);
   EXPECT_TRUE(r.completed);
+}
+
+TEST(Online, RejectsNonFiniteFailureTimes) {
+  // Both runtimes check each failure time with a negated >= before sorting
+  // the plan, so NaN fails it as +inf and negative times do.
+  const sim::Workload w = workload::classic_workload();
+  for (const double time : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), -1.0}) {
+    const std::vector<ProcFailure> plan{{1, 30.0}, {0, time}};
+    EXPECT_THROW(run_online(w, plan), InvalidArgument) << time;
+    EXPECT_THROW(reference_online(w, plan), InvalidArgument) << time;
+  }
 }
 
 TEST(Online, SurvivesAnEarlyFailureOnRandomGraph) {

@@ -17,7 +17,6 @@
 #include "hdlts/metrics/experiment.hpp"
 #include "hdlts/obs/trace.hpp"
 #include "hdlts/util/rng.hpp"
-#include "hdlts/util/thread_pool.hpp"
 #include "hdlts/workload/fft.hpp"
 #include "hdlts/workload/forkjoin.hpp"
 #include "hdlts/workload/md.hpp"
@@ -152,17 +151,16 @@ metrics::WorkloadFactory random_factory() {
   };
 }
 
-TEST(ParetoCompare, SerialAndPooledRunsAgreeBitwise) {
+TEST(ParetoCompare, ThreadCountsAgreeBitwise) {
   const auto registry = core::default_registry();
   const std::vector<std::string> names = {"hdlts", "hdlts-energy", "heft"};
-  metrics::CompareOptions serial;
-  serial.repetitions = 12;
-  serial.deadline_factor = 1.5;
-  metrics::CompareOptions pooled = serial;
-  util::ThreadPool pool(4);
-  pooled.pool = &pool;
-  const auto a = compare_schedulers(random_factory(), names, registry, serial);
-  const auto b = compare_schedulers(random_factory(), names, registry, pooled);
+  metrics::CompareOptions one;
+  one.repetitions = 12;
+  one.deadline_factor = 1.5;
+  metrics::CompareOptions four = one;
+  four.threads = 4;
+  const auto a = compare_schedulers(random_factory(), names, registry, one);
+  const auto b = compare_schedulers(random_factory(), names, registry, four);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].scheduler, b[i].scheduler);

@@ -71,11 +71,11 @@ std::size_t count_substr(const std::string& haystack,
 }
 
 TEST(JsonEscape, EscapesSpecials) {
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(util::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(util::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(util::json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(util::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(util::json_escape("plain"), "plain");
 }
 
 TEST(ScheduleJson, ContainsEveryBlockAndBalances) {

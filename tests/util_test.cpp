@@ -1,11 +1,9 @@
-// Unit tests for hdlts/util: rng, stats, thread pool, table, cli, env.
+// Unit tests for hdlts/util: rng, stats, table, cli, env.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "hdlts/util/cli.hpp"
@@ -14,7 +12,6 @@
 #include "hdlts/util/rng.hpp"
 #include "hdlts/util/stats.hpp"
 #include "hdlts/util/table.hpp"
-#include "hdlts/util/thread_pool.hpp"
 
 namespace hdlts::util {
 namespace {
@@ -184,153 +181,6 @@ TEST(Stats, RangeAndDegenerateInputs) {
   EXPECT_DOUBLE_EQ(range({}), 0.0);
   EXPECT_DOUBLE_EQ(stddev_sample(std::vector<double>{3.0}), 0.0);
   EXPECT_DOUBLE_EQ(mean({}), 0.0);
-}
-
-TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, ManySmallSubmissions) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.submit([&sum] { sum.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 500);
-}
-
-TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ParallelForChunkedCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(777);
-  std::atomic<int> chunks{0};
-  parallel_for_chunked(pool, hits.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         EXPECT_LT(begin, end);
-                         chunks.fetch_add(1);
-                         for (std::size_t i = begin; i < end; ++i) {
-                           hits[i].fetch_add(1);
-                         }
-                       });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Chunking bounds queue churn: no more chunks than 4x the worker count.
-  EXPECT_LE(chunks.load(), static_cast<int>(pool.size() * 4));
-}
-
-TEST(ThreadPool, ConcurrentSubmittersAreSafe) {
-  // Multiple producer threads race pool.submit against the workers — the
-  // shape the CI ThreadSanitizer job checks for queue races.
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 100; ++i) {
-        pool.submit([&sum] { sum.fetch_add(1); });
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 400);
-}
-
-TEST(ThreadPool, ParallelForChunkedZeroCountAndShortRanges) {
-  ThreadPool pool(4);
-  parallel_for_chunked(pool, 0, [](std::size_t, std::size_t) { FAIL(); });
-  // Fewer items than the pool has chunks: every chunk is still non-empty
-  // and the chunks still tile the range exactly once.
-  for (const std::size_t count : {1u, 2u, 3u, 5u}) {
-    std::vector<std::atomic<int>> hits(count);
-    std::atomic<std::size_t> calls{0};
-    parallel_for_chunked(pool, count, [&](std::size_t begin, std::size_t end) {
-      EXPECT_LT(begin, end);
-      EXPECT_LE(end, count);
-      calls.fetch_add(1);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "count " << count;
-    EXPECT_LE(calls.load(), count);
-  }
-}
-
-TEST(ThreadPool, PoolOfOneRunsEveryChunkOnItsWorker) {
-  // A one-worker pool degenerates to serial execution on that worker; back
-  // to back calls through it must not drift.
-  ThreadPool pool(1);
-  for (int rep = 0; rep < 3; ++rep) {
-    std::vector<int> hits(101, 0);  // one worker: no atomics needed
-    std::set<std::thread::id> runners;
-    int chunks = 0;
-    parallel_for_chunked(pool, hits.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           runners.insert(std::this_thread::get_id());
-                           ++chunks;
-                           for (std::size_t i = begin; i < end; ++i) ++hits[i];
-                         });
-    for (const int h : hits) EXPECT_EQ(h, 1) << "rep " << rep;
-    EXPECT_EQ(runners.size(), 1u);
-    EXPECT_LE(chunks, 4);
-  }
-}
-
-TEST(ThreadPool, ParallelForBackToBackAndInterleavedWithSubmit) {
-  // Queued tasks and parallel_for chunks share one queue; neither may lose
-  // or repeat work of the other.
-  ThreadPool pool(3);
-  std::atomic<int> task_sum{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 5; ++i) {
-      pool.submit([&task_sum] { task_sum.fetch_add(1); });
-    }
-    std::vector<std::atomic<int>> hits(97);
-    parallel_for(pool, hits.size(),
-                 [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-  }
-  pool.wait_idle();
-  EXPECT_EQ(task_sum.load(), 250);
-}
-
-TEST(ThreadPool, ParallelForFromConcurrentCallersCompletesEachRange) {
-  // Several threads drive one pool at once: each call still returns only
-  // after its own whole range has run.
-  ThreadPool pool(2);
-  std::atomic<long> grand{0};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 3; ++t) {
-    callers.emplace_back([&] {
-      for (int round = 0; round < 20; ++round) {
-        std::atomic<long> local{0};
-        parallel_for_chunked(pool, 64,
-                             [&](std::size_t begin, std::size_t end) {
-                               long s = 0;
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 s += static_cast<long>(i);
-                               }
-                               local.fetch_add(s);
-                             });
-        EXPECT_EQ(local.load(), 64L * 63L / 2L);
-        grand.fetch_add(local.load());
-      }
-    });
-  }
-  for (auto& c : callers) c.join();
-  EXPECT_EQ(grand.load(), 3L * 20L * (64L * 63L / 2L));
 }
 
 TEST(Table, RejectsMismatchedRow) {
